@@ -2,7 +2,7 @@
 
 Subcommands:
   run    one CPI, estimate targets, write estimates.csv (+ optional cube)
-  mc     Monte Carlo RMSE over an SNR sweep, write rmse.csv
+  mc     Monte Carlo RMSE over an SNR sweep, write rmse.csv (+ failures.csv)
   grids  one CPI, write the stage-1 and stage-2 cost surfaces as CSV
 
 The bundled default scenario is used when --scenario is omitted.
@@ -89,6 +89,10 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(p_grids)
 
     args = parser.parse_args(argv)
+    if args.command == "mc" and (args.known_k is not None or args.estimate_k):
+        flag = "--known-k" if args.known_k is not None else "--estimate-k"
+        p_mc.error(f"{flag} is not supported: Monte Carlo trials always use the "
+                   f"scenario's target count")
     scenario = _load(args)
     grid = _grid_from_args(args, scenario)
     common = dict(

@@ -1,14 +1,25 @@
 """Subspace estimators: joint range/Doppler, then joint DOA/DOD.
 
 Stage 1 scans a delay/Doppler grid with a determinant-ratio cost built
-from the fast-time covariance of the cube.  The numerator gram of the
-candidate code matrix is delay- and Doppler-invariant, so the whole
-surface reduces (via the matrix determinant lemma) to
+from the fast-time covariance of the cube.  The numerator gram
+A = chips^T chips of the candidate code matrix is delay- and
+Doppler-invariant, so the whole surface reduces (via the matrix
+determinant lemma) to
 
-    cost(d, f) = 1 / det(I_P - G @ gram_inv @ G^H),    G = U_s^H T(d, f)
+    cost(d, f) = 1 / det(I_P - M(d, f)),    M = G A^-1 G^H,  G = U_s^H T(d, f)
 
-with G computed for every delay at once by sliding-window correlation.
-Noise projectors are therefore never materialised.
+and noise projectors are never materialised.  The Doppler phase of chip
+q in the window at delay d is exp(j2 pi f (d + 1 + q) Tc); its part
+common to the window cancels in M.  With whitened chips W = chips C^-T
+(A = C C^T), M is a sum over the 2 nc - 1 chip lags l = q - r,
+
+    M(d, f) = sum_l R_d(l) exp(j2 pi f l Tc),
+    R_d(l)  = sum_{q - r = l} X_q X_r^H,   X_q = conj(U_s[d + q]) W[q]^T,
+
+an outer product of basis row d + q (length P) and chip row q of W
+(length n_bar).  The lag terms of a block of delays come from one batched
+gram of the stacked X_q, and every Doppler column from one product of the
+lag terms with the (lag x Doppler) phase matrix.
 
 Stage 1's Doppler axis has little leverage (the intra-PRI phase ramp over
 one code support is tiny), so the per-target Doppler is refined from the
@@ -54,6 +65,11 @@ __all__ = [
     "doa_dod_search",
     "PeakError",
 ]
+
+
+# delays per xi1_surface pass: the temporaries peak at about 6 MB at
+# signal_dim 3 and about 90 MB at estimate_k's largest order, 12
+_XI1_DELAY_BLOCK = 32
 
 
 class PeakError(RuntimeError):
@@ -192,11 +208,6 @@ def estimate_signal_dim(eigenvalues: np.ndarray, max_dim: int | None = None) -> 
     return int(np.argmax(ratios)) + 1
 
 
-def _code_gram_inverse(codes: CodeMatrix) -> tuple[np.ndarray, float]:
-    gram = codes.chips.T @ codes.chips
-    return np.linalg.inv(gram), float(np.linalg.det(gram))
-
-
 def xi1_cost(
     d: int, f_hz: float, codes: CodeMatrix, basis: SubspaceBasis, system: SystemConfig
 ) -> float:
@@ -225,32 +236,55 @@ def xi1_surface(
 ) -> np.ndarray:
     """Cost surface over (delay, Doppler), shape (len(range_bins), len(doppler)).
 
-    Uses det(A - G^H G) = det(A) * det(I - G A^-1 G^H) to reduce each grid
-    point to a signal_dim x signal_dim determinant, and computes
-    U_s^H T(d, f) for all delays simultaneously as windowed correlations.
+    Evaluates 1 / det(I - M(d, f)) with M = G A^-1 G^H (module docstring)
+    from the lag-domain terms of each delay: one batched gram of the
+    whitened windows, one lag reduction, one product against the Doppler
+    phases of the 2*nc - 1 lags, and an unpivoted elimination of the
+    Hermitian I - M.  Delays are processed in fixed-size blocks so the
+    temporaries stay bounded for any signal_dim.
     """
     L = system.fast_time_bins
     nc = codes.code_length
     range_bins = np.asarray(range_bins, dtype=int)
     if np.any(range_bins < 0) or np.any(range_bins > L - nc):
         raise ValueError("range grid contains range-ambiguous delays")
-    gram_inv, _ = _code_gram_inverse(codes)
-    u = basis.basis  # (L, P)
-    p_dim = u.shape[1]
-    t_axis = np.arange(1, L + 1) * system.chip_period_s
-    n_d = L - nc + 1
+    doppler_hz = np.asarray(doppler_hz, dtype=float)
+    p_dim = basis.basis.shape[1]
+    upper_p, upper_q = np.triu_indices(p_dim)
+    # whitened chips: white @ white.T = chips A^-1 chips^T, A = chips^T chips
+    chol = np.linalg.cholesky(codes.chips.T @ codes.chips)
+    white = np.linalg.solve(chol, codes.chips.T).T  # (nc, n_bar)
+    lags = np.arange(1 - nc, nc)
+    q, r = np.indices((nc, nc))
+    lag_sum = (q - r == lags[:, None, None]).reshape(len(lags), nc * nc).astype(float)
+    phases = np.exp(2j * np.pi * system.chip_period_s * np.outer(lags, doppler_hz))
+    windows = sliding_window_view(basis.basis.conj(), nc, axis=0)  # (n_d, P, nc)
     surface = np.empty((len(range_bins), len(doppler_hz)), dtype=float)
-    eye = np.eye(p_dim)
-    for j, f in enumerate(doppler_hz):
-        a = u.conj() * np.exp(2j * np.pi * f * t_axis)[:, None]  # (L, P)
-        windows = sliding_window_view(a, nc, axis=0)  # (n_d, P, nc)
-        g_all = windows.reshape(n_d * p_dim, nc) @ codes.chips
-        g_all = g_all.reshape(n_d, p_dim, codes.tx_count)[range_bins]
-        w = g_all @ gram_inv
-        small = eye - np.einsum("dpm,dqm->dpq", w, g_all.conj())
-        det = np.linalg.det(small).real
-        with np.errstate(divide="ignore"):
-            surface[:, j] = np.where(det > 0.0, 1.0 / np.maximum(det, 1e-300), np.inf)
+    for start in range(0, len(range_bins), _XI1_DELAY_BLOCK):
+        block = range_bins[start:start + _XI1_DELAY_BLOCK]
+        n_b = len(block)
+        x = windows[block].transpose(0, 2, 1)[..., None] * white[:, None, :]
+        x = x.reshape(n_b, nc * p_dim, codes.tx_count)  # rows (chip q, basis p)
+        gram = (x @ x.conj().transpose(0, 2, 1)).reshape(n_b, nc, p_dim, nc, p_dim)
+        # (q, r, upper-triangle pair, delay), then sum each diagonal q - r = lag
+        pairs = np.ascontiguousarray(gram.transpose(1, 3, 2, 4, 0)[:, :, upper_p, upper_q])
+        lagged = (lag_sum @ pairs.reshape(nc * nc, -1).view(float)).view(complex)
+        m_upper = (lagged.T @ phases).reshape(len(upper_p), n_b, len(doppler_hz))
+        # I - M is Hermitian PSD (M compresses a projector): eliminate on the
+        # upper triangle without pivoting; det is the product of the pivots
+        den = np.zeros((p_dim, p_dim, n_b, len(doppler_hz)), dtype=complex)
+        den[upper_p, upper_q] = -m_upper
+        den[np.arange(p_dim), np.arange(p_dim)] += 1.0
+        det = np.ones((n_b, len(doppler_hz)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k in range(p_dim):
+                pivot = den[k, k].real
+                det *= pivot
+                for i in range(k + 1, p_dim):
+                    den[i, i:] -= (den[k, i].conj() / pivot) * den[k, i:]
+            surface[start:start + n_b] = np.where(
+                det > 0.0, 1.0 / np.maximum(det, 1e-300), np.inf
+            )
     return surface
 
 
@@ -471,20 +505,22 @@ def xi2_surface(
     theta_deg: np.ndarray,
     theta_bar_deg: np.ndarray,
     per_context: bool = False,
+    context_index: int | None = None,
 ) -> np.ndarray:
     """DOA/DOD cost over a grid, shape (len(theta), len(theta_bar)).
 
     Summed over the per-target contexts; per_context=True returns the
-    (K, len(theta), len(theta_bar)) stack instead.
+    (K, len(theta), len(theta_bar)) stack instead.  context_index scores
+    that one context alone and returns its term.
     """
     theta_deg = np.atleast_1d(np.asarray(theta_deg, dtype=float))
     theta_bar_deg = np.atleast_1d(np.asarray(theta_bar_deg, dtype=float))
     scen = context.scenario
     s_rx = spatial_manifold(scen.rx_array, theta_deg, 0.0, context.wavelength_m, "rx")
     s_tx = spatial_manifold(scen.tx_array, theta_bar_deg, 0.0, context.wavelength_m, "tx")
-    k = len(context.estimates)
-    out = np.empty((k, len(theta_deg), len(theta_bar_deg)), dtype=float)
-    for ki in range(k):
+    indices = range(len(context.estimates)) if context_index is None else [context_index]
+    out = np.empty((len(indices), len(theta_deg), len(theta_bar_deg)), dtype=float)
+    for row, ki in enumerate(indices):
         half = np.einsum("pmi,ia->pma", context.basis_phi[ki], s_rx, optimize=True)
         coeff = np.einsum("pma,mb->pab", half, s_tx.conj(), optimize=True)
         sig_power = np.sum(np.abs(coeff) ** 2, axis=0)
@@ -492,7 +528,9 @@ def xi2_surface(
         den = num - sig_power
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.where(den > 0.0, num / np.maximum(den, 1e-300), np.inf)
-        out[ki] = vals if num > 0 else 0.0
+        out[row] = vals if num > 0 else 0.0
+    if context_index is not None:
+        return out[0]
     return out if per_context else out.sum(axis=0)
 
 
@@ -532,7 +570,7 @@ def doa_dod_search(
         th0, tb0 = theta[i], theta_bar[j]
         local_th = np.arange(max(0.0, th0 - half), min(180.0, th0 + half) + 1e-9, step)
         local_tb = np.arange(max(0.0, tb0 - half), min(180.0, tb0 + half) + 1e-9, step)
-        local = xi2_surface(context, local_th, local_tb, per_context=True)[ki]
+        local = xi2_surface(context, local_th, local_tb, context_index=ki)
         flat = int(np.argmax(local))
         ii, jj = np.unravel_index(flat, local.shape)
         results.append(

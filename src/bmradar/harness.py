@@ -25,6 +25,7 @@ from . import baseline as baseline_mod
 from .channel import TargetTruth, dump_cube, synthesize_cube
 from .estimation import (
     GridSpec,
+    SubspaceBasis,
     default_grid,
     doa_dod_search,
     doppler_refine,
@@ -150,11 +151,14 @@ def run_scenario(
     t0 = time.perf_counter()
     cov = temporal_covariance(cube)
     if estimate_k:
-        spectrum = np.sort(np.linalg.eigvalsh(cov))[::-1]
-        k_eff = estimate_signal_dim(spectrum, max_dim=min(12, cov.shape[0] - 1))
+        # one eigendecomposition: its spectrum picks the order, its leading
+        # eigenvectors are the basis
+        head = subspace_split(cov, min(12, cov.shape[0] - 1))
+        k_eff = estimate_signal_dim(head.eigenvalues, max_dim=head.signal_dim)
+        basis = SubspaceBasis(head.basis[:, :k_eff], head.eigenvalues, k_eff)
     else:
         k_eff = k if k is not None else scenario.target_count
-    basis = subspace_split(cov, k_eff)
+        basis = subspace_split(cov, k_eff)
 
     stage1 = range_doppler_search(
         cube, codes, k_eff, grid, system, doppler_nms_hz=doppler_nms_hz, basis=basis
@@ -456,6 +460,9 @@ def emit_outputs(
 ) -> list[Path]:
     """Write estimates.csv / rmse.csv / surface grids / run.json.
 
+    failures.csv lists the Monte Carlo trials that failed as a whole, one
+    row per trial and method; it is written only when there are any.
+
     All CSV content is a pure function of the inputs; the timestamp lives
     only in run.json.
     """
@@ -527,6 +534,15 @@ def emit_outputs(
         path = out / "rmse.csv"
         _write_csv(path, header, rows)
         written.append(path)
+
+        failures = [
+            [rec.snr_db, rec.trial_idx, rec.seed, m, message]
+            for rec in rmse.records for m, message in sorted(rec.failed.items())
+        ]
+        if failures:
+            path = out / "failures.csv"
+            _write_csv(path, ["snr_db", "trial", "seed", "method", "message"], failures)
+            written.append(path)
 
     doc = {
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

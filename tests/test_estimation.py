@@ -178,6 +178,30 @@ class TestXi1:
                                       paper_scenario.system)
                 assert surf[i, j] == pytest.approx(direct, rel=1e-9)
 
+    @pytest.mark.parametrize("signal_dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("which", ["paper", "tiny"])
+    def test_surface_matches_cost_at_every_signal_dim(self, which, signal_dim,
+                                                      paper_scenario):
+        scenario = paper_scenario if which == "paper" else make_tiny_scenario(snr_db=10.0)
+        system = scenario.system
+        codes, symbols = build_waveform(scenario)
+        cube = b.synthesize_cube(scenario, codes, symbols, np.random.default_rng(8))
+        basis = est.subspace_split(est.temporal_covariance(cube), signal_dim)
+        last = system.fast_time_bins - system.code_length
+        # both edge delays, descending, more than one delay block on paper
+        delays = np.unique(np.linspace(0, last, 40).astype(int))[::-1]
+        prf = b.derive_params(scenario).prf_hz
+        dopplers = prf * np.array([-0.5, -0.31, -0.02, 0.0, 0.11, 0.5])
+        surf = est.xi1_surface(codes, basis, system, delays, dopplers)
+        single = est.xi1_surface(codes, basis, system, delays, dopplers[4:5])
+        assert surf.shape == (len(delays), len(dopplers))
+        assert single.shape == (len(delays), 1)
+        for i, d in enumerate(delays):
+            for j, f in enumerate(dopplers):
+                direct = est.xi1_cost(int(d), float(f), codes, basis, system)
+                assert surf[i, j] == pytest.approx(direct, rel=1e-9)
+            assert single[i, 0] == pytest.approx(surf[i, 4], rel=1e-9)
+
     def test_factorized_equals_materialized_projector(self, tiny_scenario):
         cube, codes, symbols, _ = clean_cube(tiny_scenario)
         noisy = b.add_noise(cube, 10.0, np.random.default_rng(7))
@@ -350,6 +374,20 @@ class TestXi2:
                                         paper_scenario)
             surfaces.append(b.xi2_surface(ctx, *grids))
         assert np.allclose(surfaces[0], surfaces[1], rtol=1e-9)
+
+    def test_context_index_scores_one_context_exactly(self, paper_scenario):
+        codes, symbols = build_waveform(paper_scenario)
+        cube = b.synthesize_cube(paper_scenario, codes, symbols,
+                                 np.random.default_rng(15))
+        estimates = [(t.delay_bins, t.doppler_hz) for t in cube.truth]
+        blockers = b.build_blockers(codes, estimates, paper_scenario.system)
+        virtual = b.apply_virtual_extension(cube, blockers)
+        ctx = b.prepare_xi2_context(virtual, blockers, estimates, codes, paper_scenario)
+        grids = np.arange(95.0, 155.0, 0.5), np.arange(45.0, 90.0, 0.5)
+        stack = b.xi2_surface(ctx, *grids, per_context=True)
+        for ki in range(len(estimates)):
+            one = b.xi2_surface(ctx, *grids, context_index=ki)
+            np.testing.assert_array_equal(one, stack[ki])
 
     def test_factorized_equals_materialized_projector(self):
         # 56-dimensional virtual space: compare against explicit P matrices

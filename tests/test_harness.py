@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from dataclasses import replace
@@ -187,6 +188,28 @@ class TestEmitOutputs:
         for name in ("estimates.csv", "rmse.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_failures_csv_lists_failed_trials(self, tiny_noisy, tmp_path):
+        # the two-peak scenario of test_worst_case_failure_convention
+        two = replace(tiny_noisy, targets=(tiny_noisy.targets[0],) * 2)
+        report = b.monte_carlo_rmse(two, [20.0], trials=1, method="both", seed=0)
+        written = b.emit_outputs(tmp_path / "failed", rmse=report)
+        path = tmp_path / "failed" / "failures.csv"
+        assert path in written
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["snr_db", "trial", "seed", "method", "message"]
+        rec = report.records[0]
+        assert [row[:4] for row in rows[1:]] == [
+            ["20", "0", str(rec.seed), "baseline"], ["20", "0", str(rec.seed), "vst"],
+        ]
+        assert [row[4] for row in rows[1:]] == [rec.failed["baseline"], rec.failed["vst"]]
+        assert rows[1][4].startswith("PeakError: found only 1 of 2")
+
+        clean = b.monte_carlo_rmse(tiny_noisy, [20.0], trials=1, method="vst", seed=0)
+        written = b.emit_outputs(tmp_path / "clean", rmse=clean)
+        assert not (tmp_path / "clean" / "failures.csv").exists()
+        assert all(p.name != "failures.csv" for p in written)
+
     def test_run_json_carries_config(self, tiny_noisy, tmp_path):
         result = b.run_scenario(tiny_noisy, method="vst", seed=1)
         b.emit_outputs(tmp_path, run=result, extra_config={"note": 1})
@@ -238,6 +261,16 @@ class TestCli:
             assert rc == 0
             outs.append((out / "rmse.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("flag", [["--known-k", "2"], ["--estimate-k"]])
+    def test_mc_rejects_target_count_flags(self, tmp_path, capsys, flag):
+        scen = self._write_tiny(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["mc", "--scenario", str(scen), "--trials", "1",
+                      "--out", str(tmp_path / "mc"), *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+        assert not (tmp_path / "mc").exists()
 
     def test_grids_subcommand(self, tmp_path):
         scen = self._write_tiny(tmp_path)
