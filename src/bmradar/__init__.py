@@ -49,7 +49,7 @@ from .channel import (
     synthesize_cube,
     synthesize_targets,
 )
-from .extender import BlockerSet, VirtualSnapshots, apply_virtual_extension, build_blockers, vectorize_pri
+from .extender import BlockerSet, VirtualSnapshots, apply_virtual_extension, build_blockers
 from .estimation import (
     GridSpec,
     SubspaceBasis,

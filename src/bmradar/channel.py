@@ -102,10 +102,6 @@ class DataCube:
     def rx_count(self) -> int:
         return self.samples.shape[2]
 
-    def pri_matrix(self, n: int) -> np.ndarray:
-        """PRI n as an (rx_count, fast_time_bins) matrix."""
-        return self.samples[n].T
-
 
 def path_gain(target: TargetSpec, derived: DerivedParams, rng: np.random.Generator) -> PathGain:
     """Two-way gain for unit antenna gains.

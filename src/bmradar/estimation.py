@@ -28,14 +28,20 @@ demodulate the known symbols, take a zero-padded periodogram across PRIs,
 and interpolate the peak.
 
 Stage 2 scans (DOA, DOD) with a MUSIC-style ratio over the virtual
-spatiotemporal snapshots.  Because every entry of a steering vector has
-unit modulus, the numerator is angle-independent and the denominator is an
-O(rx * tx * signal_dim) contraction of precomputed per-antenna terms.
+spatiotemporal snapshots.  Their signal basis comes from the PRI x PRI
+gram, which the matrix-free VirtualSnapshots view builds from the cube
+(see the extender module): one Hermitian eigendecomposition of the gram,
+then the basis X v / sqrt(lambda) over its top signal_dim eigenpairs, so
+only signal_dim snapshot combinations are ever formed.  Because every
+entry of a steering vector has unit modulus, the numerator is
+angle-independent and the denominator is an O(rx * tx * signal_dim)
+contraction of precomputed per-antenna terms.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,22 +181,44 @@ def subspace_split(matrix: np.ndarray, signal_dim: int, kind: str | None = None)
     if kind != "snapshots":
         raise ValueError("kind must be 'covariance' or 'snapshots'")
     ambient, count = matrix.shape
+    if ambient > count:
+        return _gram_subspace(matrix.conj().T @ matrix, matrix.__matmul__,
+                             matrix.shape, signal_dim)
+    _check_snapshot_dim(signal_dim, ambient, count)
+    cov = matrix @ matrix.conj().T / count
+    return subspace_split(cov, signal_dim, kind="covariance")
+
+
+def _check_snapshot_dim(signal_dim: int, ambient: int, count: int) -> None:
     if not 0 < signal_dim < ambient:
         raise ValueError(f"signal_dim must be in (0, {ambient})")
     if signal_dim > count:
         raise ValueError("signal_dim exceeds the number of snapshots")
-    if ambient > count:
-        gram = matrix.conj().T @ matrix
-        vals, vecs = np.linalg.eigh(gram)
-        order = np.argsort(vals)[::-1]
-        vals = np.maximum(vals[order].real, 0.0)
-        top = vals[:signal_dim]
-        if np.any(top <= 0):
-            raise ValueError("snapshot matrix rank is below signal_dim")
-        basis = matrix @ (vecs[:, order[:signal_dim]] / np.sqrt(top))
-        return SubspaceBasis(basis, vals / count, signal_dim)
-    cov = matrix @ matrix.conj().T / count
-    return subspace_split(cov, signal_dim, kind="covariance")
+
+
+def _gram_subspace(
+    gram: np.ndarray,
+    combine: Callable[[np.ndarray], np.ndarray],
+    shape: tuple[int, int],
+    signal_dim: int,
+) -> SubspaceBasis:
+    """Top left singular subspace of snapshots X given only their gram.
+
+    gram is X^H X (count x count) and combine(c) returns X c; shape is
+    (ambient, count).  The basis is X v / sqrt(lambda) over the top
+    eigenpairs of the gram, and the reported eigenvalues are those of
+    (1/count) * X X^H.
+    """
+    ambient, count = shape
+    _check_snapshot_dim(signal_dim, ambient, count)
+    vals, vecs = np.linalg.eigh(gram)
+    order = np.argsort(vals)[::-1]
+    vals = np.maximum(vals[order].real, 0.0)
+    top = vals[:signal_dim]
+    if np.any(top <= 0):
+        raise ValueError("snapshot matrix rank is below signal_dim")
+    basis = combine(vecs[:, order[:signal_dim]] / np.sqrt(top))
+    return SubspaceBasis(basis, vals / count, signal_dim)
 
 
 def estimate_signal_dim(eigenvalues: np.ndarray, max_dim: int | None = None) -> int:
@@ -476,7 +504,7 @@ def prepare_xi2_context(
     derived = derive_params(scenario)
     k = len(estimates)
     dim = signal_dim or k
-    basis = subspace_split(virtual.matrix, dim, kind="snapshots")
+    basis = _gram_subspace(virtual.gram(), virtual.combine, virtual.shape, dim)
     n_bar, n_rx, L = virtual.tx_count, virtual.rx_count, virtual.fast_time_bins
 
     phi = np.empty((k, n_bar, L), dtype=complex)

@@ -12,6 +12,19 @@ Projectors are never materialised: with Q an orthonormal basis of the
 blocker columns, P v = v - Q (Q^H v).  This keeps the per-vector cost at
 O(L * rank) and sidesteps the ill-conditioned normal-equations inverse
 when two targets nearly coincide in delay and Doppler.
+
+Nor is the snapshot matrix V (n_bar * n_rx * L rows, one column per PRI):
+VirtualSnapshots is a view of the cube and the blockers that answers the
+two questions a subspace split asks of V.  Its gram follows from P_m
+being a Hermitian idempotent,
+
+    V^H V = n_bar Y^H Y - sum_m Z_m^H Z_m,    Z_m = (I_rx kron Q_m^H) Y,
+
+with Y the (n_rx * L) x n_s PRI matrix, and every Z_m comes from one
+product of the cube's fast-time rows with the stacked bases [Q_0 ... ].
+A combination V c is P_m applied to the PRI combination Y c, block by
+block.  ``VirtualSnapshots.matrix`` still materialises V, as the
+reference for both.
 """
 
 from __future__ import annotations
@@ -28,8 +41,6 @@ from .waveform import CodeMatrix
 __all__ = [
     "BlockerSet",
     "VirtualSnapshots",
-    "vectorize_pri",
-    "devectorize_pri",
     "build_blockers",
     "apply_virtual_extension",
 ]
@@ -69,34 +80,78 @@ class BlockerSet:
 
 @dataclass(frozen=True)
 class VirtualSnapshots:
-    """Matrix of virtual snapshots, one column per PRI.
+    """Matrix-free view of the virtual snapshots, one per PRI.
 
-    matrix: (n_bar * n_rx * L, n_s), rows ordered (m, i, t), t fastest.
+    samples:  the cube samples, (n_s, L, n_rx).
+    blockers: the per-Tx-antenna complement projectors.
     """
 
-    matrix: np.ndarray
-    rx_count: int
-    tx_count: int
-    fast_time_bins: int
+    samples: np.ndarray
+    blockers: BlockerSet
+
+    @property
+    def rx_count(self) -> int:
+        return self.samples.shape[2]
+
+    @property
+    def tx_count(self) -> int:
+        return self.blockers.tx_count
+
+    @property
+    def fast_time_bins(self) -> int:
+        return self.samples.shape[1]
 
     @property
     def snapshot_count(self) -> int:
-        return self.matrix.shape[1]
+        return self.samples.shape[0]
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(ambient, count) of the snapshot matrix."""
+        return (self.tx_count * self.rx_count * self.fast_time_bins,
+                self.snapshot_count)
 
-def vectorize_pri(x_n: np.ndarray) -> np.ndarray:
-    """Stack an (n_rx, L) PRI matrix into a vector, antenna-major.
+    @property
+    def matrix(self) -> np.ndarray:
+        """The materialised (n_bar * n_rx * L, n_s) snapshot matrix.
 
-    Equivalent to vec of the transposed matrix: antenna i's fast-time
-    vector occupies rows i*L .. (i+1)*L - 1.
-    """
-    if x_n.ndim != 2:
-        raise ValueError("expected a 2-D PRI matrix")
-    return x_n.reshape(-1)
+        Rows are ordered (m, i, t), t fastest; column n holds, block by
+        block over (m, i), the projected fast-time vector of Rx antenna i
+        in PRI n.
+        """
+        n_s, L, n_rx = self.samples.shape
+        n_bar = self.tx_count
+        rows = self.samples.transpose(0, 2, 1).reshape(n_s * n_rx, L)
+        out = np.empty((n_bar * n_rx * L, n_s), dtype=complex)
+        for m in range(n_bar):
+            proj = self.blockers.project(m, rows).reshape(n_s, n_rx, L)
+            out[m * n_rx * L:(m + 1) * n_rx * L, :] = (
+                proj.transpose(1, 2, 0).reshape(n_rx * L, n_s)
+            )
+        return out
 
+    def gram(self) -> np.ndarray:
+        """V^H V, (n_s, n_s), from the cube (module docstring)."""
+        n_s, L, n_rx = self.samples.shape
+        flat = self.samples.reshape(n_s, L * n_rx)
+        gram = self.tx_count * (flat.conj() @ flat.T)
+        stacked = np.concatenate(self.blockers.bases, axis=1)  # L x sum of ranks
+        rows = self.samples.transpose(0, 2, 1).reshape(n_s * n_rx, L)
+        z = (rows @ stacked.conj()).reshape(n_s, -1)  # (n, (i, column))
+        gram -= z.conj() @ z.T
+        return gram
 
-def devectorize_pri(x_st: np.ndarray, rx_count: int, fast_time_bins: int) -> np.ndarray:
-    return x_st.reshape(rx_count, fast_time_bins)
+    def combine(self, coeffs: np.ndarray) -> np.ndarray:
+        """V @ coeffs for (n_s, P) coefficients, (n_bar * n_rx * L, P)."""
+        n_s, L, n_rx = self.samples.shape
+        p_dim = coeffs.shape[1]
+        mixed = self.samples.reshape(n_s, L * n_rx).T @ coeffs  # ((t, i), p)
+        rows = mixed.reshape(L, n_rx * p_dim).T  # ((i, p), t)
+        out = np.empty((self.tx_count, n_rx, L, p_dim), dtype=complex)
+        for m in range(self.tx_count):
+            proj = self.blockers.project(m, rows).reshape(n_rx, p_dim, L)
+            out[m] = proj.transpose(0, 2, 1)
+        return out.reshape(-1, p_dim)
 
 
 def _orthonormal_basis(matrix: np.ndarray) -> np.ndarray:
@@ -153,21 +208,6 @@ def build_blockers(
 
 
 def apply_virtual_extension(cube: DataCube, blockers: BlockerSet) -> VirtualSnapshots:
-    """Project every PRI through each antenna's complement projector.
-
-    Output column n holds, block by block over (m, i), the projected
-    fast-time vector of Rx antenna i in PRI n.
-    """
-    n_s, L, n_rx = cube.samples.shape
-    n_bar = blockers.tx_count
-    # rows are (n, i) fast-time vectors
-    rows = cube.samples.transpose(0, 2, 1).reshape(n_s * n_rx, L)
-    out = np.empty((n_bar * n_rx * L, n_s), dtype=complex)
-    for m in range(n_bar):
-        proj = blockers.project(m, rows).reshape(n_s, n_rx, L)
-        out[m * n_rx * L:(m + 1) * n_rx * L, :] = (
-            proj.transpose(1, 2, 0).reshape(n_rx * L, n_s)
-        )
-    return VirtualSnapshots(
-        matrix=out, rx_count=n_rx, tx_count=n_bar, fast_time_bins=L
-    )
+    """Virtual snapshots of every PRI through each antenna's complement
+    projector, as a matrix-free view; ``.matrix`` materialises them."""
+    return VirtualSnapshots(cube.samples, blockers)

@@ -37,7 +37,7 @@ from .estimation import (
     xi1_surface,
     xi2_surface,
 )
-from .extender import apply_virtual_extension, build_blockers
+from .extender import VirtualSnapshots, build_blockers
 from .scenario import Scenario, scenario_to_dict
 from .waveform import extend_codes, generate_pn_codes, generate_symbols
 
@@ -183,9 +183,9 @@ def run_scenario(
     if METHOD_VST in methods:
         t1 = time.perf_counter()
         blockers = build_blockers(codes, refined, system)
-        virtual = apply_virtual_extension(cube, blockers)
         context = prepare_xi2_context(
-            virtual, blockers, refined, codes, scenario, signal_dim=k_eff
+            VirtualSnapshots(cube.samples, blockers), blockers, refined, codes,
+            scenario, signal_dim=k_eff,
         )
         angles = doa_dod_search(context, k_eff, grid)
         entries = []
@@ -209,8 +209,15 @@ def run_scenario(
 
     if METHOD_BASELINE in methods:
         t1 = time.perf_counter()
-        raw = baseline_mod.baseline_estimate(cube, scenario, codes, refined, grid,
-                                             gate_music=baseline_gate_music)
+        metadata = {}
+        try:
+            raw = baseline_mod.baseline_estimate(cube, scenario, codes, refined, grid,
+                                                 gate_music=baseline_gate_music)
+        except ValueError as exc:
+            # the baseline failing as a whole leaves the v-ST report standing
+            metadata["error"] = f"{type(exc).__name__}: {exc}"
+            raw = [{"delay_bins": d, "doppler_hz": f, "error": metadata["error"]}
+                   for d, f in refined]
         entries = tuple(
             TargetEstimate(
                 e["delay_bins"], e["doppler_hz"], e.get("doa_deg"),
@@ -220,7 +227,7 @@ def run_scenario(
         )
         reports[METHOD_BASELINE] = EstimateReport(
             METHOD_BASELINE, entries, k_eff,
-            stage1_elapsed + time.perf_counter() - t1,
+            stage1_elapsed + time.perf_counter() - t1, metadata,
         )
 
     return RunResult(scenario, int(seed), cube.truth, reports, code_kind,
@@ -305,6 +312,8 @@ def _mc_trial(args) -> tuple[int, int, TrialRecord]:
                               baseline_gate_music=gate_music)
         for m, report in result.reports.items():
             aligned[m] = tuple(align_to_truth(result.truth, report.entries))
+            if "error" in report.metadata:
+                failed[m] = report.metadata["error"]
     except Exception as exc:  # noqa: BLE001 - failures are data here
         for m in _resolve_methods(method):
             aligned[m] = tuple([None] * scenario.target_count)

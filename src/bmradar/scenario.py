@@ -77,8 +77,10 @@ class SystemConfig:
         _require(self.rx_count >= 1, "rx_count", "must be >= 1")
         _require(self.tx_power_w > 0, "tx_power_w", "must be > 0")
         # +inf is the documented "disabled" flag for noise/clutter
-        _require(not math.isnan(self.snr_db), "snr_db", "must not be NaN")
-        _require(not math.isnan(self.scr_db), "scr_db", "must not be NaN")
+        for name in ("snr_db", "scr_db"):
+            level = getattr(self, name)
+            _require(not math.isnan(level), name, "must not be NaN")
+            _require(level != -math.inf, name, "must not be -inf (+inf disables it)")
         _require(self.baseline_bins > 0, "baseline_bins", "must be > 0")
         if (self.pulses_per_pri is None) == (self.unambiguous_range_bins is None):
             raise ScenarioError(
@@ -162,6 +164,10 @@ class TargetSpec:
     def __post_init__(self) -> None:
         _require(self.tx_range_bins > 0, "tx_range_bins", "must be > 0")
         _require(self.rx_range_bins > 0, "rx_range_bins", "must be > 0")
+        for name in ("doa_deg", "dod_deg"):
+            angle = getattr(self, name)
+            # NaN and infinities fail the comparison too
+            _require(0.0 <= angle <= 180.0, name, f"must lie in [0, 180] degrees (got {angle})")
         _require(self.rcs_mean_m2 > 0, "rcs_mean_m2", "must be > 0")
         _require(self.swerling_model in (1, 2, 3), "swerling_model", "must be 1, 2 or 3")
         _require(math.isfinite(self.velocity_mps), "velocity_mps", "must be finite")
@@ -397,6 +403,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
             targets.append(TargetSpec(**tdoc))
         except TypeError as exc:
             raise ScenarioError(f"targets[{idx}]: {exc}") from exc
+        except ScenarioError as exc:
+            raise ScenarioError(f"targets[{idx}].{exc}") from exc
 
     return Scenario(
         system=system,

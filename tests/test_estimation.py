@@ -423,6 +423,102 @@ class TestXi2:
             assert direct == pytest.approx(num / den, rel=1e-9)
 
 
+class MaterialisedSnapshots:
+    """The parent's reference route: the gram and combinations taken from
+    the materialised virtual-snapshot matrix."""
+
+    def __init__(self, virtual):
+        self.matrix = virtual.matrix
+        self.shape = self.matrix.shape
+        self.tx_count = virtual.tx_count
+        self.rx_count = virtual.rx_count
+        self.fast_time_bins = virtual.fast_time_bins
+
+    def gram(self):
+        return self.matrix.conj().T @ self.matrix
+
+    def combine(self, coeffs):
+        return self.matrix @ coeffs
+
+
+class TestFactoredXi2Context:
+    """The context built from the cube matches the one built from the
+    materialised 13100 x 256 (paper) virtual-snapshot matrix."""
+
+    @staticmethod
+    def assert_matches_reference(scenario, cube, codes, estimates, dims):
+        blockers = b.build_blockers(codes, estimates, scenario.system)
+        virtual = b.apply_virtual_extension(cube, blockers)
+        reference = MaterialisedSnapshots(virtual)
+        theta = np.arange(0.0, 180.1, 2.5)
+        for dim in dims:
+            ctx = b.prepare_xi2_context(virtual, blockers, estimates, codes,
+                                        scenario, signal_dim=dim)
+            ref = b.prepare_xi2_context(reference, blockers, estimates, codes,
+                                        scenario, signal_dim=dim)
+            got = b.xi2_surface(ctx, theta, theta, per_context=True)
+            want = b.xi2_surface(ref, theta, theta, per_context=True)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            u = ctx.basis.basis
+            assert u.shape == (reference.shape[0], dim)
+            np.testing.assert_allclose(u.conj().T @ u, np.eye(dim), atol=1e-12)
+        return blockers
+
+    def test_tiny_scenario(self):
+        s = make_tiny_scenario(snr_db=20.0, scr_db=float("inf"))
+        codes, symbols = build_waveform(s)
+        cube = b.synthesize_cube(s, codes, symbols, np.random.default_rng(21))
+        estimates = [(t.delay_bins, t.doppler_hz) for t in cube.truth]
+        self.assert_matches_reference(s, cube, codes, estimates, [1, 2, 3, 4, 12])
+
+    def test_paper_scenario(self, paper_scenario):
+        codes, symbols = build_waveform(paper_scenario)
+        cube = b.synthesize_cube(paper_scenario, codes, symbols,
+                                 np.random.default_rng(22))
+        estimates = [(t.delay_bins, t.doppler_hz) for t in cube.truth]
+        self.assert_matches_reference(paper_scenario, cube, codes, estimates,
+                                      [1, 2, 3, 4, 12])
+
+    def test_near_coincident_estimates_truncate_the_blocker(self, paper_scenario):
+        codes, symbols = build_waveform(paper_scenario)
+        cube = b.synthesize_cube(paper_scenario, codes, symbols,
+                                 np.random.default_rng(23))
+        t = cube.truth[0]
+        estimates = [(t.delay_bins, t.doppler_hz), (t.delay_bins, t.doppler_hz + 1e-7)]
+        blockers = self.assert_matches_reference(paper_scenario, cube, codes,
+                                                 estimates, [2])
+        for m in range(paper_scenario.system.tx_count):
+            assert blockers.bases[m].shape[1] < blockers.blockers[m].shape[1]
+
+    def test_single_tx_antenna_has_empty_blockers(self):
+        s = make_tiny_scenario(snr_db=20.0, scr_db=float("inf"))
+        s = replace(s, system=replace(s.system, tx_count=1),
+                    tx_array=b.ArrayGeometry(((0.0,), (0.0,), (0.0,))))
+        codes, symbols = build_waveform(s)
+        cube = b.synthesize_cube(s, codes, symbols, np.random.default_rng(24))
+        estimates = [(t.delay_bins, t.doppler_hz) for t in cube.truth]
+        blockers = self.assert_matches_reference(s, cube, codes, estimates, [1, 3])
+        assert blockers.bases[0].shape == (s.system.fast_time_bins, 0)
+
+    def test_context_never_holds_the_snapshot_matrix(self, paper_scenario):
+        import tracemalloc
+
+        codes, symbols = build_waveform(paper_scenario)
+        cube = b.synthesize_cube(paper_scenario, codes, symbols,
+                                 np.random.default_rng(25))
+        estimates = [(t.delay_bins, t.doppler_hz) for t in cube.truth]
+        blockers = b.build_blockers(codes, estimates, paper_scenario.system)
+        virtual = b.apply_virtual_extension(cube, blockers)
+        tracemalloc.start()
+        try:
+            b.prepare_xi2_context(virtual, blockers, estimates, codes, paper_scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the materialised matrix alone is 13100 x 256 complex, 54 MB
+        assert peak < 32e6
+
+
 class TestDoaDodSearch:
     def test_single_target_noiseless_within_refine_step(self, paper_scenario):
         cube, codes, _, _, s = noiseless_single_target(paper_scenario)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import bmradar as b
-from bmradar.extender import devectorize_pri
 from conftest import build_waveform, clean_cube, make_tiny_scenario
 
 
@@ -12,24 +11,6 @@ def project_manifold(blockers, h, tx_count, rx_count, fast_time_bins):
     return np.stack(
         [blockers.project(m, h4[m]) for m in range(tx_count)]
     ).reshape(-1)
-
-
-class TestVectorize:
-    def test_two_by_two(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(b.vectorize_pri(x), [1.0, 2.0, 3.0, 4.0])
-
-    def test_norm_preserved(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(5, 24)) + 1j * rng.normal(size=(5, 24))
-        assert np.linalg.norm(b.vectorize_pri(x)) == pytest.approx(
-            np.linalg.norm(x)
-        )
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(3, 14))
-        assert np.array_equal(devectorize_pri(b.vectorize_pri(x), 3, 14), x)
 
 
 class TestBuildBlockers:
@@ -109,6 +90,22 @@ class TestApplyVirtualExtension:
         assert np.all(virtual.matrix == 0.0)
         assert virtual.matrix.shape == (2 * 2 * 14, 16)
 
+    def test_view_gram_and_combinations_match_the_matrix(self):
+        s = make_tiny_scenario(snr_db=10.0, scr_db=float("inf"))
+        codes, symbols = build_waveform(s)
+        cube = b.synthesize_cube(s, codes, symbols, np.random.default_rng(3))
+        blockers = b.build_blockers(codes, [(5, 800.0), (1, -300.0)], s.system)
+        virtual = b.apply_virtual_extension(cube, blockers)
+        matrix = virtual.matrix
+        assert virtual.shape == matrix.shape == (2 * 2 * 14, 16)
+        gram = matrix.conj().T @ matrix
+        assert np.allclose(virtual.gram(), gram, rtol=0, atol=1e-13 * np.abs(gram).max())
+        rng = np.random.default_rng(4)
+        coeffs = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))
+        want = matrix @ coeffs
+        assert np.allclose(virtual.combine(coeffs), want, rtol=0,
+                           atol=1e-13 * np.abs(want).max())
+
     def test_noiseless_collinearity_with_projected_manifold(self, paper_scenario):
         """Central oracle: every clean single-target virtual snapshot is
         collinear with the projected combined manifold at truth."""
@@ -157,6 +154,6 @@ class TestApplyVirtualExtension:
         virtual = b.apply_virtual_extension(cube, blockers)
         n_bar = tiny_scenario.system.tx_count
         for n in range(cube.pri_count):
-            x_st = b.vectorize_pri(cube.pri_matrix(n))
+            x_st = cube.samples[n].T.reshape(-1)
             bound = np.sqrt(n_bar) * np.linalg.norm(x_st)
             assert np.linalg.norm(virtual.matrix[:, n]) <= bound + 1e-12

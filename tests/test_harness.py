@@ -68,6 +68,20 @@ class TestRunScenario:
         result = b.run_scenario(tiny_noisy, method="vst", seed=4, estimate_k=True)
         assert result.reports["vst"].k == 1
 
+    def test_baseline_failure_keeps_the_vst_report(self, paper_scenario):
+        # five sources cannot be resolved by MUSIC on five Rx antennas
+        both = b.run_scenario(paper_scenario, method="both", seed=1, k=5)
+        alone = b.run_scenario(paper_scenario, method="vst", seed=1, k=5)
+        assert both.reports["vst"].entries == alone.reports["vst"].entries
+        assert all(e.doa_deg is not None for e in both.reports["vst"].entries)
+        baseline = both.reports["baseline"]
+        message = "ValueError: cannot resolve 5 sources with 5 antennas"
+        assert baseline.metadata["error"] == message
+        assert len(baseline.entries) == 5
+        for e, v in zip(baseline.entries, both.reports["vst"].entries):
+            assert (e.delay_bins, e.doppler_hz) == (v.delay_bins, v.doppler_hz)
+            assert (e.doa_deg, e.dod_deg, e.error) == (None, None, message)
+
 
 class TestAlignToTruth:
     def test_reorders_by_angles(self):
@@ -148,6 +162,23 @@ class TestMonteCarlo:
         r_drop = b.monte_carlo_rmse(two, [20.0], trials=1, method="vst", seed=0,
                                     drop_failures=True)
         assert math.isnan(r_drop.points[0].rmse["doa_vst"])
+
+
+    def test_baseline_failure_is_recorded_per_method(self, tmp_path, tiny_noisy):
+        # one Rx antenna: the baseline's MUSIC cannot resolve even one
+        # source, the v-ST estimate still counts
+        s = replace(tiny_noisy, system=replace(tiny_noisy.system, rx_count=1),
+                    rx_array=b.ArrayGeometry(((0.0,), (0.0,), (0.0,))))
+        r = b.monte_carlo_rmse(s, [20.0], trials=1, method="both", seed=0)
+        rec = r.records[0]
+        assert rec.failed == {
+            "baseline": "ValueError: cannot resolve 1 sources with 1 antennas"}
+        assert rec.aligned["vst"][0].dod_deg is not None
+        assert r.points[0].failures == {"vst": 0, "baseline": 2}
+        b.emit_outputs(tmp_path, rmse=r)
+        with (tmp_path / "failures.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["method"] for row in rows] == ["baseline"]
 
 
 class TestEmitOutputs:

@@ -70,6 +70,42 @@ class TestDerivedParams:
             b.SystemConfig(carrier_frequency_hz=0.0)
 
 
+class TestLoadTimeValidation:
+    @pytest.mark.parametrize("value", [200.0, -0.5, math.nan, math.inf])
+    def test_doa_outside_search_span_rejected(self, value):
+        with pytest.raises(ScenarioError, match="doa_deg"):
+            b.TargetSpec(51, 101, value, 81.2, 68.8)
+
+    @pytest.mark.parametrize("value", [180.5, -10.0, math.nan, -math.inf])
+    def test_dod_outside_search_span_rejected(self, value):
+        with pytest.raises(ScenarioError, match="dod_deg"):
+            b.TargetSpec(51, 101, 150.0, value, 68.8)
+
+    def test_angle_span_ends_accepted(self):
+        t = b.TargetSpec(51, 101, 0.0, 180.0, 68.8)
+        assert (t.doa_deg, t.dod_deg) == (0.0, 180.0)
+
+    def test_minus_infinite_snr_rejected(self):
+        with pytest.raises(ScenarioError, match="snr_db"):
+            b.SystemConfig(snr_db=-math.inf)
+
+    def test_minus_infinite_scr_rejected(self):
+        with pytest.raises(ScenarioError, match="scr_db"):
+            b.SystemConfig(scr_db=-math.inf)
+
+    def test_plus_infinite_levels_still_disable(self):
+        s = b.SystemConfig(snr_db=math.inf, scr_db=math.inf)
+        assert s.snr_db == s.scr_db == math.inf
+
+    def test_bad_angle_named_at_load(self, tmp_path):
+        doc = scenario_to_dict(b.default_scenario())
+        doc["targets"][2]["doa_deg"] = 200.0
+        path = tmp_path / "bad_angle.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioError, match=r"targets\[2\]\.doa_deg"):
+            b.load_scenario(path)
+
+
 class TestTruthFromGeometry:
     # reference truth rows for the default targets: delay bins, Doppler Hz
     EXPECTED = [(152, -429.37), (189, 150.84), (228, 475.94)]
