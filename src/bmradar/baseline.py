@@ -15,12 +15,14 @@ estimate, which is what produces this method's error floor at high SNR.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .channel import DataCube
-from .estimation import GridSpec, subspace_split
+from .estimation import GridSpec, SubspaceBasis, despread_gate, greedy_peaks, subspace_split
 from .manifold import spatial_manifold
 from .scenario import ArrayGeometry, Scenario, derive_params
 from .waveform import CodeMatrix
@@ -108,6 +110,30 @@ def spatial_covariance(cube: DataCube) -> np.ndarray:
     return flat.T @ flat.conj() / (n_s * L)
 
 
+def _music_pseudo(
+    basis: SubspaceBasis, rx_geometry: ArrayGeometry, wavelength_m: float, grid: np.ndarray
+) -> np.ndarray:
+    """MUSIC pseudo-spectrum 1 / ||P_n a(theta)||^2 of an Rx signal basis
+    over a DOA grid; +inf where a steering vector lies in the signal
+    subspace."""
+    steer = spatial_manifold(rx_geometry, grid, 0.0, wavelength_m, "rx")
+    proj = basis.basis.conj().T @ steer
+    den = np.sum(np.abs(steer) ** 2, axis=0) - np.sum(np.abs(proj) ** 2, axis=0)
+    with np.errstate(divide="ignore"):
+        return np.where(den > 0.0, 1.0 / np.maximum(den, 1e-300), np.inf)
+
+
+def _refine_doa(
+    pseudo: Callable[[np.ndarray], np.ndarray], peak: float, step_deg: float | None
+) -> float:
+    """Polish a DOA peak to the pseudo-spectrum maximum on a local grid of
+    step_deg within +-1 degree (clipped to [0, 180]); None keeps the peak."""
+    if step_deg is None:
+        return peak
+    local = np.arange(max(0.0, peak - 1.0), min(180.0, peak + 1.0) + 1e-9, step_deg)
+    return float(local[int(np.argmax(pseudo(local)))])
+
+
 def music_doa_spectrum(
     cube: DataCube,
     rx_geometry: ArrayGeometry,
@@ -116,48 +142,24 @@ def music_doa_spectrum(
     theta_grid: np.ndarray,
     refine_step_deg: float | None = 0.01,
 ) -> tuple[np.ndarray, list[float]]:
-    """MUSIC pseudo-spectrum over DOA and its k largest peaks.
+    """Whole-cube MUSIC pseudo-spectrum over DOA and its k largest peaks.
 
-    Peaks are suppressed within 2 degrees of an accepted peak and then
-    polished on a local grid at refine_step_deg (None skips refinement).
-    Only rx_count - 1 sources are spatially resolvable.
+    Peaks are picked greedily with suppression within 2 degrees of an
+    accepted peak, then each is polished on a +-1 degree local grid at
+    refine_step_deg (None skips refinement).  Only rx_count - 1 sources
+    are spatially resolvable.
     """
     n_rx = cube.rx_count
     if k >= n_rx:
         raise ValueError(f"cannot resolve {k} sources with {n_rx} antennas")
-    cov = spatial_covariance(cube)
-    basis = subspace_split(cov, k)
+    pseudo = partial(_music_pseudo, subspace_split(spatial_covariance(cube), k),
+                     rx_geometry, wavelength_m)
     theta_grid = np.asarray(theta_grid, dtype=float)
-
-    def pseudo(grid: np.ndarray) -> np.ndarray:
-        steer = spatial_manifold(rx_geometry, grid, 0.0, wavelength_m, "rx")
-        proj = basis.basis.conj().T @ steer
-        den = np.sum(np.abs(steer) ** 2, axis=0) - np.sum(np.abs(proj) ** 2, axis=0)
-        with np.errstate(divide="ignore"):
-            return np.where(den > 0.0, 1.0 / np.maximum(den, 1e-300), np.inf)
-
     spectrum = pseudo(theta_grid)
-    order = np.argsort(-spectrum, kind="stable")
-    peaks: list[float] = []
-    for idx in order:
-        if math.isnan(spectrum[idx]):
-            continue
-        if any(abs(theta_grid[idx] - p) <= 2.0 for p in peaks):
-            continue
-        peaks.append(float(theta_grid[idx]))
-        if len(peaks) == k:
-            break
-    if len(peaks) < k:
-        raise GeometryError(f"found only {len(peaks)} of {k} DOA peaks")
-
-    if refine_step_deg is not None:
-        refined = []
-        for p in peaks:
-            local = np.arange(max(0.0, p - 1.0), min(180.0, p + 1.0) + 1e-9,
-                              refine_step_deg)
-            vals = pseudo(local)
-            refined.append(float(local[int(np.argmax(vals))]))
-        peaks = refined
+    idx = greedy_peaks(spectrum, theta_grid, 2.0, k)
+    if len(idx) < k:
+        raise GeometryError(f"found only {len(idx)} of {k} DOA peaks")
+    peaks = [_refine_doa(pseudo, float(theta_grid[i]), refine_step_deg) for i in idx]
     return spectrum, peaks
 
 
@@ -176,28 +178,15 @@ def gate_music_doa(
     energy into one spatial snapshot per PRI, recovering the pulse
     compression gain before the covariance is formed.  Far more robust to
     per-CPI fluctuation fades than the whole-cube spectrum, at the price
-    of resolving only the dominant source in the gate.
+    of resolving only the dominant source in the gate.  The pseudo-spectrum
+    and the +-1 degree refine are those of music_doa_spectrum.
     """
-    nc = codes.code_length
-    cs = codes.composite[:nc].astype(complex)
-    y = np.einsum("q,nqi->ni", np.conj(cs), cube.samples[:, delay:delay + nc, :])
+    y = despread_gate(cube, codes, delay)
     cov = y.T @ y.conj() / y.shape[0]
-    basis = subspace_split(cov, 1)
-
-    def pseudo(grid: np.ndarray) -> np.ndarray:
-        steer = spatial_manifold(rx_geometry, grid, 0.0, wavelength_m, "rx")
-        proj = basis.basis.conj().T @ steer
-        den = np.sum(np.abs(steer) ** 2, axis=0) - np.sum(np.abs(proj) ** 2, axis=0)
-        with np.errstate(divide="ignore"):
-            return np.where(den > 0.0, 1.0 / np.maximum(den, 1e-300), np.inf)
-
+    pseudo = partial(_music_pseudo, subspace_split(cov, 1), rx_geometry, wavelength_m)
     theta_grid = np.asarray(theta_grid, dtype=float)
     peak = float(theta_grid[int(np.argmax(pseudo(theta_grid)))])
-    if refine_step_deg is not None:
-        local = np.arange(max(0.0, peak - 1.0), min(180.0, peak + 1.0) + 1e-9,
-                          refine_step_deg)
-        peak = float(local[int(np.argmax(pseudo(local)))])
-    return peak
+    return _refine_doa(pseudo, peak, refine_step_deg)
 
 
 def associate_doa_to_range(
@@ -216,11 +205,9 @@ def associate_doa_to_range(
     """
     from scipy.optimize import linear_sum_assignment
 
-    nc = codes.code_length
     power = np.zeros((len(delays), len(doas)))
     for di, d in enumerate(delays):
-        cs = codes.composite[:nc].astype(complex)
-        gate = np.einsum("q,nqi->ni", np.conj(cs), cube.samples[:, d:d + nc, :])
+        gate = despread_gate(cube, codes, d)
         for ai, theta in enumerate(doas):
             steer = spatial_manifold(rx_geometry, theta, 0.0, wavelength_m, "rx")
             power[di, ai] = float(np.sum(np.abs(gate @ np.conj(steer)) ** 2))

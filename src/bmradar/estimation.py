@@ -62,7 +62,9 @@ __all__ = [
     "estimate_signal_dim",
     "xi1_cost",
     "xi1_surface",
+    "greedy_peaks",
     "range_doppler_search",
+    "despread_gate",
     "doppler_refine",
     "Xi2Context",
     "prepare_xi2_context",
@@ -77,6 +79,9 @@ __all__ = [
 # signal_dim 3 and about 90 MB at estimate_k's largest order, 12
 _XI1_DELAY_BLOCK = 32
 
+# zero-padding factor of the slow-time Doppler periodogram
+_DOPPLER_PAD_FACTOR = 16
+
 
 class PeakError(RuntimeError):
     """Raised when a search cannot find the requested number of peaks."""
@@ -90,11 +95,6 @@ class SubspaceBasis:
     eigenvalues: np.ndarray  # descending, real
     signal_dim: int
 
-    def noise_projection_power(self, v: np.ndarray) -> float:
-        """Squared norm of v after removing its signal-subspace part."""
-        coeff = self.basis.conj().T @ v
-        return float(np.linalg.norm(v) ** 2 - np.linalg.norm(coeff) ** 2)
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -107,7 +107,6 @@ class GridSpec:
     angle_step_deg: float = 0.5
     angle_refine_step_deg: float = 0.01
     angle_refine_halfwidth_deg: float = 0.75
-    doppler_pad_factor: int = 16
 
 
 def default_grid(scenario: Scenario, spec: GridSpec | None = None) -> GridSpec:
@@ -142,7 +141,6 @@ def default_grid(scenario: Scenario, spec: GridSpec | None = None) -> GridSpec:
         angle_step_deg=spec.angle_step_deg,
         angle_refine_step_deg=spec.angle_refine_step_deg,
         angle_refine_halfwidth_deg=spec.angle_refine_halfwidth_deg,
-        doppler_pad_factor=spec.doppler_pad_factor,
     )
 
 
@@ -158,42 +156,19 @@ def temporal_covariance(cube: DataCube) -> np.ndarray:
     return rows.T @ rows.conj() / (n_rx * n_s)
 
 
-def subspace_split(matrix: np.ndarray, signal_dim: int, kind: str | None = None) -> SubspaceBasis:
-    """Top eigen/singular subspace of a covariance or snapshot matrix.
+def subspace_split(cov: np.ndarray, signal_dim: int) -> SubspaceBasis:
+    """Top signal_dim eigenvectors of a Hermitian covariance matrix.
 
-    kind="covariance": Hermitian eigendecomposition of the matrix itself.
-    kind="snapshots":  left singular subspace of an (ambient x count)
-    snapshot matrix, computed through the smaller gram; reported
-    eigenvalues are those of (1/count) * X X^H.
-    Unset, square input is treated as a covariance.
+    The reported eigenvalues are the whole spectrum, descending and
+    clipped at zero.  Snapshot sets go through _gram_subspace instead.
     """
-    matrix = np.asarray(matrix)
-    if kind is None:
-        kind = "covariance" if matrix.shape[0] == matrix.shape[1] else "snapshots"
-    if kind == "covariance":
-        ambient = matrix.shape[0]
-        if not 0 < signal_dim < ambient:
-            raise ValueError(f"signal_dim must be in (0, {ambient})")
-        vals, vecs = np.linalg.eigh(matrix)
-        order = np.argsort(vals)[::-1]
-        vals = np.maximum(vals[order].real, 0.0)
-        return SubspaceBasis(vecs[:, order[:signal_dim]], vals, signal_dim)
-    if kind != "snapshots":
-        raise ValueError("kind must be 'covariance' or 'snapshots'")
-    ambient, count = matrix.shape
-    if ambient > count:
-        return _gram_subspace(matrix.conj().T @ matrix, matrix.__matmul__,
-                             matrix.shape, signal_dim)
-    _check_snapshot_dim(signal_dim, ambient, count)
-    cov = matrix @ matrix.conj().T / count
-    return subspace_split(cov, signal_dim, kind="covariance")
-
-
-def _check_snapshot_dim(signal_dim: int, ambient: int, count: int) -> None:
+    ambient = cov.shape[0]
     if not 0 < signal_dim < ambient:
         raise ValueError(f"signal_dim must be in (0, {ambient})")
-    if signal_dim > count:
-        raise ValueError("signal_dim exceeds the number of snapshots")
+    vals, vecs = np.linalg.eigh(cov)
+    order = np.argsort(vals)[::-1]
+    vals = np.maximum(vals[order].real, 0.0)
+    return SubspaceBasis(vecs[:, order[:signal_dim]], vals, signal_dim)
 
 
 def _gram_subspace(
@@ -210,7 +185,10 @@ def _gram_subspace(
     (1/count) * X X^H.
     """
     ambient, count = shape
-    _check_snapshot_dim(signal_dim, ambient, count)
+    if not 0 < signal_dim < ambient:
+        raise ValueError(f"signal_dim must be in (0, {ambient})")
+    if signal_dim > count:
+        raise ValueError("signal_dim exceeds the number of snapshots")
     vals, vecs = np.linalg.eigh(gram)
     order = np.argsort(vals)[::-1]
     vals = np.maximum(vals[order].real, 0.0)
@@ -316,44 +294,22 @@ def xi1_surface(
     return surface
 
 
-def _greedy_peaks_2d(
-    surface: np.ndarray,
-    k: int,
-    axis0_vals: np.ndarray,
-    axis1_vals: np.ndarray,
-    radius0: float,
-    radius1: float | None,
-) -> list[tuple[int, int]]:
-    """Greedy non-maximum suppression peak picking on a 2-D surface.
+def greedy_peaks(values: np.ndarray, positions: np.ndarray, radius: float, k: int) -> list[int]:
+    """Greedy non-maximum suppression: indices of up to k peaks of values.
 
-    A candidate is suppressed by an accepted peak when its axis-0 distance
-    is within radius0 (inclusive) and (if radius1 is set) its axis-1
-    distance is strictly inside radius1; radius1=None suppresses the whole
-    axis-0 band.  Separations of exactly radius1 therefore survive, so two
-    co-range peaks spaced by the suppression radius both come back.  Ties
-    break on the lowest flat index.
+    Candidates are taken in stable descending order of value (ties break on
+    the lowest index) and NaNs are skipped.  A candidate is suppressed when
+    its position lies within radius (inclusive) of an accepted peak.
     """
-    flat_order = np.argsort(-surface, axis=None, kind="stable")
-    peaks: list[tuple[int, int]] = []
-    for flat in flat_order:
-        i, j = np.unravel_index(flat, surface.shape)
-        val = surface[i, j]
-        if math.isnan(val):
+    peaks: list[int] = []
+    for idx in np.argsort(-values, kind="stable"):
+        if math.isnan(values[idx]):
             continue
-        suppressed = False
-        for pi, pj in peaks:
-            within0 = abs(axis0_vals[i] - axis0_vals[pi]) <= radius0
-            within1 = (
-                True if radius1 is None
-                else abs(axis1_vals[j] - axis1_vals[pj]) < radius1 * (1 - 1e-12)
-            )
-            if within0 and within1:
-                suppressed = True
-                break
-        if not suppressed:
-            peaks.append((int(i), int(j)))
-            if len(peaks) == k:
-                break
+        if any(abs(positions[idx] - positions[p]) <= radius for p in peaks):
+            continue
+        peaks.append(int(idx))
+        if len(peaks) == k:
+            break
     return peaks
 
 
@@ -364,17 +320,16 @@ def range_doppler_search(
     grid: GridSpec,
     system: SystemConfig,
     signal_dim: int | None = None,
-    doppler_nms_hz: float | None = None,
     basis: SubspaceBasis | None = None,
 ) -> list[tuple[int, float, float]]:
     """Stage-1 search: k best (delay, coarse Doppler, peak value) triples.
 
-    Peaks are suppressed within one code length in delay; by default the
-    suppression spans all Dopplers at that delay, which guarantees k
-    distinct ranges.  Pass doppler_nms_hz to restrict suppression to a
-    Doppler band instead (resolves co-range targets at well-separated
-    Dopplers, at the cost of possible duplicate ranges in noise).  A
-    precomputed subspace basis skips the covariance step.
+    Scans the whole (delay, Doppler) grid.  A peak suppresses every
+    Doppler within one code length in delay, which guarantees k distinct
+    ranges; each delay row can therefore only contribute its maximum, so
+    the peaks are picked among the row maxima (ties on the lowest Doppler
+    index, then the lowest delay index).  A precomputed subspace basis
+    skips the covariance step.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -382,82 +337,61 @@ def range_doppler_search(
         cov = temporal_covariance(cube)
         basis = subspace_split(cov, signal_dim or k)
     surface = xi1_surface(codes, basis, system, grid.range_bins, grid.doppler_hz)
-    peaks = _greedy_peaks_2d(
-        surface, k, grid.range_bins.astype(float), grid.doppler_hz,
-        radius0=float(codes.code_length), radius1=doppler_nms_hz,
-    )
-    if len(peaks) < k:
-        found = [
-            (int(grid.range_bins[i]), float(grid.doppler_hz[j]), float(surface[i, j]))
-            for i, j in peaks
-        ]
-        raise PeakError(f"found only {len(peaks)} of {k} requested peaks: {found}")
-    return [
-        (int(grid.range_bins[i]), float(grid.doppler_hz[j]), float(surface[i, j]))
-        for i, j in peaks
+    cols = surface.argmax(axis=1)
+    best = surface[np.arange(len(cols)), cols]
+    rows = greedy_peaks(best, grid.range_bins.astype(float), float(codes.code_length), k)
+    found = [
+        (int(grid.range_bins[i]), float(grid.doppler_hz[cols[i]]), float(best[i]))
+        for i in rows
     ]
+    if len(found) < k:
+        raise PeakError(f"found only {len(found)} of {k} requested peaks: {found}")
+    return found
+
+
+def despread_gate(cube: DataCube, codes: CodeMatrix, delay: int) -> np.ndarray:
+    """Range gate at delay despread with the composite code, (PRI x Rx).
+
+    Correlates each PRI's fast-time samples over the code support
+    delay..delay + nc - 1 with the conjugate composite code, leaving one
+    spatial snapshot per PRI.
+    """
+    nc = codes.code_length
+    cs = codes.composite[:nc].astype(complex)
+    return np.einsum("q,nqi->ni", np.conj(cs), cube.samples[:, delay:delay + nc, :])
 
 
 def doppler_refine(
     cube: DataCube,
     codes: CodeMatrix,
     d_hat: int,
-    f_coarse: float,
     symbols: SymbolSequence,
     system: SystemConfig,
-    pad_factor: int = 16,
     refine: bool = True,
-    n_tones: int = 1,
 ) -> float:
     """Slow-time Doppler estimate for the target despread at delay d_hat.
 
-    Despread each antenna with the composite code over the target's
-    support, demodulate the known symbols, and locate the tone of the
-    antenna-summed periodogram across PRIs.  With refine=True the
-    periodogram is zero-padded by pad_factor and the peak is polished with
-    a three-point parabolic fit; refine=False returns the raw peak of the
-    unpadded periodogram (error bounded by half a Doppler bin).
-
-    n_tones: number of candidate tones to extract before choosing the one
-    closest to f_coarse; with the default 1 the global peak wins and
-    f_coarse is not used.  The result is wrapped into (-PRF/2, PRF/2].
+    Despread the gate at d_hat, demodulate the known symbols, and take the
+    peak of the antenna-summed periodogram across PRIs.  With refine=True
+    the periodogram is zero-padded 16-fold and the peak is polished with a
+    three-point parabolic fit; refine=False returns the raw peak of the
+    unpadded periodogram (error bounded by half a Doppler bin).  The
+    result is wrapped into (-PRF/2, PRF/2].
     """
     nc = codes.code_length
     n_s = cube.pri_count
     prf = 1.0 / system.pri_s
     if d_hat < 0 or d_hat + nc > system.fast_time_bins:
         raise ValueError(f"delay {d_hat} outside the valid range")
-    cs = codes.composite[:nc]
-    block = cube.samples[:, d_hat:d_hat + nc, :]  # (n_s, nc, n_rx)
-    z = np.einsum("q,nqi->ni", np.conj(cs.astype(complex)), block)
+    z = despread_gate(cube, codes, d_hat)
     z = z * np.asarray(symbols.symbols, dtype=float)[:, None]
 
-    nfft = n_s * pad_factor if refine else n_s
+    nfft = n_s * _DOPPLER_PAD_FACTOR if refine else n_s
     spec = np.fft.fft(z, n=nfft, axis=0)
     power = np.sum(np.abs(spec) ** 2, axis=1)
     freqs = np.fft.fftfreq(nfft, d=system.pri_s)
 
-    if n_tones <= 1:
-        peak = int(np.argmax(power))
-    else:
-        # candidate tones must clear each other's main lobe and near
-        # sidelobes (three Doppler bins for the rectangular CPI window)
-        min_sep = max(1, int(round(3 * nfft / n_s)))
-        order = np.argsort(power)[::-1]
-        chosen: list[int] = []
-        for idx in order:
-            gap = min(
-                (min(abs(idx - c), nfft - abs(idx - c)) for c in chosen), default=nfft
-            )
-            if gap >= min_sep:
-                chosen.append(int(idx))
-            if len(chosen) == n_tones:
-                break
-        def wrapped_dist(i: int) -> float:
-            df = freqs[i] - f_coarse
-            return abs((df + prf / 2.0) % prf - prf / 2.0)
-        peak = min(chosen, key=wrapped_dist)
-
+    peak = int(np.argmax(power))
     f_hat = freqs[peak]
     if refine:
         p_prev = power[(peak - 1) % nfft]

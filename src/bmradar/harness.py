@@ -112,7 +112,6 @@ def run_scenario(
     k: int | None = None,
     estimate_k: bool = False,
     refine_doppler: bool = True,
-    doppler_nms_hz: float | None = None,
     store_surfaces: bool = False,
     dump_cube_path: str | Path | None = None,
     baseline_gate_music: bool = False,
@@ -121,6 +120,8 @@ def run_scenario(
 
     k defaults to the scenario's target count; estimate_k=True instead
     takes the largest ratio gap of the fast-time covariance spectrum.
+    Stage 1 is shared; a ValueError past it fails only the method that
+    raised it, whose report then carries the message.
     """
     methods = _resolve_methods(method)
     grid = default_grid(scenario, grid)
@@ -160,76 +161,61 @@ def run_scenario(
         k_eff = k if k is not None else scenario.target_count
         basis = subspace_split(cov, k_eff)
 
-    stage1 = range_doppler_search(
-        cube, codes, k_eff, grid, system, doppler_nms_hz=doppler_nms_hz, basis=basis
-    )
-    # co-range peaks (possible only with a Doppler-limited suppression
-    # radius) share a despread gate; keep one periodogram tone per peak
-    refined: list[tuple[int, float]] = []
-    for d, f_coarse, _ in stage1:
-        shared = sum(1 for dd, _, _ in stage1 if abs(dd - d) <= codes.code_length)
-        f_hat = doppler_refine(
-            cube, codes, d, f_coarse, symbols, system,
-            pad_factor=grid.doppler_pad_factor, refine=refine_doppler,
-            n_tones=shared,
-        )
-        refined.append((d, f_hat))
+    stage1 = range_doppler_search(cube, codes, k_eff, grid, system, basis=basis)
+    refined = [
+        (d, doppler_refine(cube, codes, d, symbols, system, refine=refine_doppler))
+        for d, _, _ in stage1
+    ]
     stage1_elapsed = time.perf_counter() - t0
 
     if store_surfaces:
         surf1 = xi1_surface(codes, basis, system, grid.range_bins, grid.doppler_hz)
         xi1_grid = (grid.range_bins, grid.doppler_hz, surf1)
 
-    if METHOD_VST in methods:
-        t1 = time.perf_counter()
+    context = None
+
+    def vst_entries() -> list[TargetEstimate]:
+        nonlocal context
         blockers = build_blockers(codes, refined, system)
         context = prepare_xi2_context(
             VirtualSnapshots(cube.samples, blockers), blockers, refined, codes,
             scenario, signal_dim=k_eff,
         )
-        angles = doa_dod_search(context, k_eff, grid)
-        entries = []
-        by_context = {ctx: (th, tb, val) for th, tb, val, ctx in angles}
-        for idx, (d, f_hat) in enumerate(refined):
-            if idx in by_context:
-                th, tb, val = by_context[idx]
-                entries.append(TargetEstimate(d, f_hat, th, tb, val))
-            else:
-                entries.append(TargetEstimate(d, f_hat, None, None,
-                                              error="no direction peak assigned"))
-        reports[METHOD_VST] = EstimateReport(
-            METHOD_VST, tuple(entries), k_eff,
-            stage1_elapsed + time.perf_counter() - t1,
-            {"angle_step_deg": grid.angle_step_deg,
-             "angle_refine_step_deg": grid.angle_refine_step_deg},
-        )
-        if store_surfaces:
-            surf2 = xi2_surface(context, grid.theta_deg, grid.theta_bar_deg)
-            xi2_grid = (grid.theta_deg, grid.theta_bar_deg, surf2)
+        by_context = {ctx: (th, tb, val) for th, tb, val, ctx in
+                      doa_dod_search(context, k_eff, grid)}
+        return [
+            TargetEstimate(d, f_hat, *by_context[idx]) if idx in by_context
+            else TargetEstimate(d, f_hat, None, None, error="no direction peak assigned")
+            for idx, (d, f_hat) in enumerate(refined)
+        ]
 
-    if METHOD_BASELINE in methods:
+    def baseline_entries() -> list[TargetEstimate]:
+        raw = baseline_mod.baseline_estimate(cube, scenario, codes, refined, grid,
+                                             gate_music=baseline_gate_music)
+        return [TargetEstimate(e["delay_bins"], e["doppler_hz"], e.get("doa_deg"),
+                               e.get("dod_deg"), 0.0, e.get("error")) for e in raw]
+
+    chains = {METHOD_VST: vst_entries, METHOD_BASELINE: baseline_entries}
+    for m in methods:
+        # past stage 1 the methods are isolated: a ValueError fails this
+        # method alone, with one angle-less entry per stage-1 target
         t1 = time.perf_counter()
         metadata = {}
         try:
-            raw = baseline_mod.baseline_estimate(cube, scenario, codes, refined, grid,
-                                                 gate_music=baseline_gate_music)
+            entries = tuple(chains[m]())
         except ValueError as exc:
-            # the baseline failing as a whole leaves the v-ST report standing
             metadata["error"] = f"{type(exc).__name__}: {exc}"
-            raw = [{"delay_bins": d, "doppler_hz": f, "error": metadata["error"]}
-                   for d, f in refined]
-        entries = tuple(
-            TargetEstimate(
-                e["delay_bins"], e["doppler_hz"], e.get("doa_deg"),
-                e.get("dod_deg"), 0.0, e.get("error"),
-            )
-            for e in raw
-        )
-        reports[METHOD_BASELINE] = EstimateReport(
-            METHOD_BASELINE, entries, k_eff,
-            stage1_elapsed + time.perf_counter() - t1, metadata,
-        )
+            entries = tuple(TargetEstimate(d, f, None, None, 0.0, metadata["error"])
+                            for d, f in refined)
+        if m == METHOD_VST:
+            metadata.update(angle_step_deg=grid.angle_step_deg,
+                            angle_refine_step_deg=grid.angle_refine_step_deg)
+        reports[m] = EstimateReport(
+            m, entries, k_eff, stage1_elapsed + time.perf_counter() - t1, metadata)
 
+    if store_surfaces and context is not None:
+        surf2 = xi2_surface(context, grid.theta_deg, grid.theta_bar_deg)
+        xi2_grid = (grid.theta_deg, grid.theta_bar_deg, surf2)
     return RunResult(scenario, int(seed), cube.truth, reports, code_kind,
                      xi1_grid, xi2_grid)
 

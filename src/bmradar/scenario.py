@@ -212,6 +212,9 @@ class Scenario:
                 f"{name}.tx_range_bins/rx_range_bins",
                 "triangle inequality with the baseline is violated",
             )
+            delay, last = _delay_bins(t), self.system.fast_time_bins - self.system.code_length
+            _require(delay <= last, f"{name}.bistatic_range_bins",
+                     f"delay {delay} bins is range-ambiguous (need delay <= {last})")
 
     @property
     def target_count(self) -> int:
@@ -248,6 +251,11 @@ def derive_params(scenario: Scenario) -> DerivedParams:
     )
 
 
+def _delay_bins(target: TargetSpec) -> int:
+    """Echo delay in whole chips: the floor of the bistatic range in bins."""
+    return int(math.floor(target.tx_range_bins + target.rx_range_bins + 1e-12))
+
+
 def truth_from_geometry(target: TargetSpec, system: SystemConfig) -> tuple[int, float]:
     """Ground-truth (delay bin, Doppler Hz) implied by a target's geometry.
 
@@ -255,8 +263,7 @@ def truth_from_geometry(target: TargetSpec, system: SystemConfig) -> tuple[int, 
     bin-valued ranges is simply tx_range + rx_range.  The bistatic Doppler
     uses the half-bistatic-angle projection of the velocity.
     """
-    tau_chips = target.tx_range_bins + target.rx_range_bins
-    d_true = int(math.floor(tau_chips + 1e-12))
+    d_true = _delay_bins(target)
     wavelength = SPEED_OF_LIGHT / system.carrier_frequency_hz
     f_true = (
         (2.0 * target.velocity_mps / wavelength)

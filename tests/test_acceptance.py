@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
 The Monte Carlo fixtures run several hundred full estimation pipelines and
-dominate the runtime (roughly 15-30 minutes on one core).  Run with -s to
+dominate the runtime (about 5 minutes on two cores).  Run with -s to
 see the per-criterion lines as they complete.
 """
 

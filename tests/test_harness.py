@@ -82,6 +82,21 @@ class TestRunScenario:
             assert (e.delay_bins, e.doppler_hz) == (v.delay_bins, v.doppler_hz)
             assert (e.doa_deg, e.dod_deg, e.error) == (None, None, message)
 
+    def test_vst_failure_keeps_the_baseline_report(self, paper_scenario):
+        # two PRIs give two virtual snapshots, too few for three sources
+        short = paper_scenario.with_system(pris_per_cpi=2)
+        both = b.run_scenario(short, method="both", seed=1)
+        alone = b.run_scenario(short, method="baseline", seed=1)
+        assert both.reports["baseline"].entries == alone.reports["baseline"].entries
+        assert all(e.doa_deg is not None for e in both.reports["baseline"].entries)
+        vst = both.reports["vst"]
+        message = "ValueError: signal_dim exceeds the number of snapshots"
+        assert vst.metadata["error"] == message
+        assert len(vst.entries) == 3
+        for e, v in zip(vst.entries, both.reports["baseline"].entries):
+            assert (e.delay_bins, e.doppler_hz) == (v.delay_bins, v.doppler_hz)
+            assert (e.doa_deg, e.dod_deg, e.error) == (None, None, message)
+
 
 class TestAlignToTruth:
     def test_reorders_by_angles(self):
@@ -179,6 +194,19 @@ class TestMonteCarlo:
         with (tmp_path / "failures.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert [row["method"] for row in rows] == ["baseline"]
+
+    def test_vst_failure_is_recorded_per_method(self, tmp_path, paper_scenario):
+        short = paper_scenario.with_system(pris_per_cpi=2)
+        r = b.monte_carlo_rmse(short, [20.0], trials=1, method="both", seed=0)
+        rec = r.records[0]
+        assert rec.failed == {
+            "vst": "ValueError: signal_dim exceeds the number of snapshots"}
+        assert all(e.dod_deg is not None for e in rec.aligned["baseline"])
+        assert r.points[0].failures == {"vst": 6, "baseline": 0}
+        b.emit_outputs(tmp_path, rmse=r)
+        with (tmp_path / "failures.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["method"] for row in rows] == ["vst"]
 
 
 class TestEmitOutputs:

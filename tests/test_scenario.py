@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,6 +104,26 @@ class TestLoadTimeValidation:
         path = tmp_path / "bad_angle.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ScenarioError, match=r"targets\[2\]\.doa_deg"):
+            b.load_scenario(path)
+
+    def test_range_ambiguous_target_rejected(self, paper_scenario):
+        # delay 550 > L - nc = 509: the code would leave the PRI
+        far = replace(paper_scenario.targets[0], tx_range_bins=300, rx_range_bins=250)
+        with pytest.raises(ScenarioError,
+                           match=r"targets\[0\]\.bistatic_range_bins: delay 550 .*<= 509"):
+            replace(paper_scenario, targets=(far,) + paper_scenario.targets[1:])
+
+    def test_last_unambiguous_delay_accepted(self, paper_scenario):
+        edge = replace(paper_scenario.targets[0], tx_range_bins=259, rx_range_bins=250)
+        s = replace(paper_scenario, targets=(edge,))
+        assert b.truth_from_geometry(s.targets[0], s.system)[0] == 509
+
+    def test_range_ambiguous_target_named_at_load(self, tmp_path):
+        doc = scenario_to_dict(b.default_scenario())
+        doc["targets"][1].update(tx_range_bins=300.0, rx_range_bins=250.0)
+        path = tmp_path / "ambiguous.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioError, match=r"targets\[1\]\.bistatic_range_bins"):
             b.load_scenario(path)
 
 
@@ -214,13 +235,17 @@ def valid_scenarios(draw):
             swerling_model=draw(st.sampled_from([1, 2, 3])),
             velocity_mps=draw(st.floats(min_value=-50.0, max_value=50.0)),
         ))
+    code_length = draw(st.sampled_from([7, 15]))
+    # the PRI must hold every target's delayed code (no range ambiguity)
+    longest = max((math.floor(t.bistatic_range_bins + 1e-12) for t in targets), default=0)
+    min_pulses = math.ceil((longest + code_length) / code_length)
     system = b.SystemConfig(
-        code_length=draw(st.sampled_from([7, 15])),
+        code_length=code_length,
         pris_per_cpi=draw(st.integers(min_value=1, max_value=64)),
         tx_count=2,
         rx_count=2,
         baseline_bins=l_bi,
-        pulses_per_pri=draw(st.integers(min_value=1, max_value=40)),
+        pulses_per_pri=draw(st.integers(min_value=min_pulses, max_value=min_pulses + 39)),
         unambiguous_range_bins=None,
     )
     geom = b.ArrayGeometry(((0.0, 0.1), (0.0, 0.0), (0.0, 0.0)))
