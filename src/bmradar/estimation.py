@@ -319,7 +319,6 @@ def range_doppler_search(
     k: int,
     grid: GridSpec,
     system: SystemConfig,
-    signal_dim: int | None = None,
     basis: SubspaceBasis | None = None,
 ) -> list[tuple[int, float, float]]:
     """Stage-1 search: k best (delay, coarse Doppler, peak value) triples.
@@ -329,13 +328,14 @@ def range_doppler_search(
     ranges; each delay row can therefore only contribute its maximum, so
     the peaks are picked among the row maxima (ties on the lowest Doppler
     index, then the lowest delay index).  A precomputed subspace basis
-    skips the covariance step.
+    skips the covariance step; without one the basis spans the top k
+    covariance eigenvectors.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if basis is None:
         cov = temporal_covariance(cube)
-        basis = subspace_split(cov, signal_dim or k)
+        basis = subspace_split(cov, k)
     surface = xi1_surface(codes, basis, system, grid.range_bins, grid.doppler_hz)
     cols = surface.argmax(axis=1)
     best = surface[np.arange(len(cols)), cols]

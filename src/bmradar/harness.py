@@ -207,9 +207,6 @@ def run_scenario(
             metadata["error"] = f"{type(exc).__name__}: {exc}"
             entries = tuple(TargetEstimate(d, f, None, None, 0.0, metadata["error"])
                             for d, f in refined)
-        if m == METHOD_VST:
-            metadata.update(angle_step_deg=grid.angle_step_deg,
-                            angle_refine_step_deg=grid.angle_refine_step_deg)
         reports[m] = EstimateReport(
             m, entries, k_eff, stage1_elapsed + time.perf_counter() - t1, metadata)
 
@@ -287,7 +284,7 @@ def _trial_seed(master_seed: int, snr_idx: int, trial_idx: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _mc_trial(args) -> tuple[int, int, TrialRecord]:
+def _mc_trial(args) -> TrialRecord:
     (scenario, snr_db, snr_idx, trial_idx, seed, method, grid, code_kind,
      gate_music) = args
     aligned: dict[str, tuple] = {}
@@ -304,14 +301,23 @@ def _mc_trial(args) -> tuple[int, int, TrialRecord]:
         for m in _resolve_methods(method):
             aligned[m] = tuple([None] * scenario.target_count)
             failed[m] = f"{type(exc).__name__}: {exc}"
-    return snr_idx, trial_idx, TrialRecord(
+    return TrialRecord(
         snr_db=snr_db, snr_idx=snr_idx, trial_idx=trial_idx, seed=seed,
         aligned=aligned, failed=failed,
     )
 
 
-def _worst_case_angle_error(truth_deg: float) -> float:
-    return max(truth_deg - 0.0, 180.0 - truth_deg)
+def _trial_mean(values: np.ndarray) -> np.ndarray:
+    """Mean over the last (trial) axis skipping NaN; NaN where none is kept.
+
+    On a C-contiguous array the sum runs along the contiguous axis in
+    numpy's pairwise order, so a row without NaN gives exactly the 1-D
+    ``row.mean()``.  (``a[:, idx]`` is not C-contiguous; ``a.take(idx,
+    axis=-1)`` is.)
+    """
+    kept = ~np.isnan(values)
+    with np.errstate(invalid="ignore"):
+        return np.where(kept, values, 0.0).sum(axis=-1) / kept.sum(axis=-1)
 
 
 def monte_carlo_rmse(
@@ -336,9 +342,10 @@ def monte_carlo_rmse(
     (post-whitening clutter is indistinguishable from receiver noise);
     "scenario" keeps the scenario's clutter level at every point.
 
-    A failed target contributes its worst-case grid-extent error unless
-    drop_failures is set, in which case it is excluded from the mean (and
-    still counted in the failure tally).
+    A missing angle is charged its worst-case error max(truth, 180 -
+    truth) unless drop_failures is set, in which case it is excluded from
+    that target's mean (and still counted in the failure tally).  The
+    bootstrap spread resamples whole trials.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -360,67 +367,45 @@ def monte_carlo_rmse(
                 baseline_gate_music,
             ))
 
-    results: dict[tuple[int, int], TrialRecord] = {}
     if jobs <= 1:
-        for task in tasks:
-            s, t, rec = _mc_trial(task)
-            results[(s, t)] = rec
+        records = tuple(map(_mc_trial, tasks))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for s, t, rec in pool.map(_mc_trial, tasks, chunksize=1):
-                results[(s, t)] = rec
-
-    records = tuple(results[key] for key in sorted(results))
+            records = tuple(pool.map(_mc_trial, tasks, chunksize=1))
     boot_rng = np.random.default_rng(np.random.SeedSequence([_MC_DOMAIN, seed, 0xB007]))
 
+    # (angle, target) truth and the error charged for a miss
+    truth = np.array([[t.doa_deg for t in scenario.targets],
+                      [t.dod_deg for t in scenario.targets]]).reshape(2, -1, 1)
+    worst = np.maximum(truth, 180.0 - truth)
     points = []
     for snr_idx, snr in enumerate(snr_db_list):
-        point_records = [r for r in records if r.snr_idx == snr_idx]
+        point_records = records[snr_idx * trials:(snr_idx + 1) * trials]
         rmse: dict[str, float] = {}
         boot: dict[str, float] = {}
         failures: dict[str, int] = {}
         for m in methods:
-            fail_count = 0
-            # per-target squared errors across trials
-            sq_errors: dict[str, list[list[float]]] = {
-                "doa": [[] for _ in scenario.targets],
-                "dod": [[] for _ in scenario.targets],
-            }
-            for rec in point_records:
-                aligned = rec.aligned.get(m, ())
-                for k_idx, target in enumerate(scenario.targets):
-                    est = aligned[k_idx] if k_idx < len(aligned) else None
-                    for param, truth_val, est_val in (
-                        ("doa", target.doa_deg, getattr(est, "doa_deg", None)),
-                        ("dod", target.dod_deg, getattr(est, "dod_deg", None)),
-                    ):
-                        if est is None or est_val is None:
-                            fail_count += 1
-                            if drop_failures:
-                                continue
-                            err = _worst_case_angle_error(truth_val)
-                        else:
-                            err = est_val - truth_val
-                        sq_errors[param][k_idx].append(err * err)
-            failures[m] = fail_count
-            for param in ("doa", "dod"):
-                per_target = [np.asarray(v) for v in sq_errors[param]]
-                if any(v.size == 0 for v in per_target):
-                    rmse[f"{param}_{m}"] = math.nan
-                    boot[f"{param}_{m}"] = math.nan
+            # (angle, target, trial) estimates, NaN where an angle is missing
+            est = np.array([[[getattr(rec.aligned[m][k], name, None)
+                              for rec in point_records]
+                             for k in range(scenario.target_count)]
+                            for name in ("doa_deg", "dod_deg")], dtype=float)
+            missed = np.isnan(est)
+            failures[m] = int(missed.sum())
+            err = est - truth
+            if not drop_failures:
+                err = np.where(missed, worst, err)
+            for param, sq in zip(("doa", "dod"), err * err):
+                per_target = _trial_mean(sq)
+                if np.isnan(per_target).any():  # a target with no kept trial
+                    rmse[f"{param}_{m}"] = boot[f"{param}_{m}"] = math.nan
                     continue
-                rmse[f"{param}_{m}"] = float(
-                    np.mean([math.sqrt(v.mean()) for v in per_target])
-                )
-                # bootstrap over trials, 200 resamples
-                samples = []
-                n_tr = per_target[0].size
-                idx = boot_rng.integers(0, n_tr, size=(200, n_tr))
-                for b in range(200):
-                    samples.append(
-                        np.mean([math.sqrt(v[idx[b]].mean()) for v in per_target])
-                    )
-                boot[f"{param}_{m}"] = float(np.std(samples))
+                rmse[f"{param}_{m}"] = float(np.sqrt(per_target).mean())
+                # bootstrap over whole trials, 200 resamples; a resample
+                # that keeps no trial of some target is skipped
+                idx = boot_rng.integers(0, trials, size=(200, trials))
+                samples = np.sqrt(_trial_mean(sq.take(idx, axis=-1))).mean(axis=0)
+                boot[f"{param}_{m}"] = float(np.nanstd(samples))
         points.append(RmsePoint(float(snr), rmse, boot, failures))
 
     return RmseReport(
@@ -439,7 +424,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -491,24 +476,16 @@ def emit_outputs(
         ], rows)
         written.append(path)
 
-        if run.xi1_grid is not None:
-            d_grid, f_grid, surf = run.xi1_grid
-            rows = [
-                [int(d_grid[i]), f_grid[j], surf[i, j]]
-                for i in range(len(d_grid)) for j in range(len(f_grid))
-            ]
-            path = out / "xi1_grid.csv"
-            _write_csv(path, ["delay_bins", "doppler_hz", "cost"], rows)
-            written.append(path)
-        if run.xi2_grid is not None:
-            th, tb, surf = run.xi2_grid
-            rows = [
-                [th[i], tb[j], surf[i, j]]
-                for i in range(len(th)) for j in range(len(tb))
-            ]
-            path = out / "xi2_grid.csv"
-            _write_csv(path, ["doa_deg", "dod_deg", "cost"], rows)
-            written.append(path)
+        for name, header, surface in (
+            ("xi1_grid.csv", ["delay_bins", "doppler_hz", "cost"], run.xi1_grid),
+            ("xi2_grid.csv", ["doa_deg", "dod_deg", "cost"], run.xi2_grid),
+        ):
+            if surface is not None:
+                axis0, axis1, cost = surface
+                columns = [*np.meshgrid(axis0, axis1, indexing="ij"), cost]
+                path = out / name
+                _write_csv(path, header, zip(*(c.ravel().tolist() for c in columns)))
+                written.append(path)
 
     if rmse is not None:
         header = ["snr_db", "trials", "seed"]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -325,59 +325,22 @@ def default_scenario_path() -> Path:
     return Path(str(resources.files("bmradar").joinpath("data/paper.json")))
 
 
-def _system_to_dict(s: SystemConfig) -> dict:
-    out = {
-        "carrier_frequency_hz": s.carrier_frequency_hz,
-        "chip_period_s": s.chip_period_s,
-        "code_length": s.code_length,
-        "pris_per_cpi": s.pris_per_cpi,
-        "tx_count": s.tx_count,
-        "rx_count": s.rx_count,
-        "tx_power_w": s.tx_power_w,
-        "snr_db": None if math.isinf(s.snr_db) else s.snr_db,
-        "scr_db": None if math.isinf(s.scr_db) else s.scr_db,
-        "baseline_bins": s.baseline_bins,
-    }
-    if s.pulses_per_pri is not None:
-        out["pulses_per_pri"] = s.pulses_per_pri
-    else:
-        out["unambiguous_range_bins"] = s.unambiguous_range_bins
-    return out
-
-
 def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "system": _system_to_dict(scenario.system),
-        "tx_array": {"coordinates": [list(r) for r in scenario.tx_array.coordinates]},
-        "rx_array": {"coordinates": [list(r) for r in scenario.rx_array.coordinates]},
-        "targets": [
-            {
-                "tx_range_bins": t.tx_range_bins,
-                "rx_range_bins": t.rx_range_bins,
-                "doa_deg": t.doa_deg,
-                "dod_deg": t.dod_deg,
-                "bistatic_angle_deg": t.bistatic_angle_deg,
-                "rcs_mean_m2": t.rcs_mean_m2,
-                "swerling_model": t.swerling_model,
-                "velocity_mps": t.velocity_mps,
-                "motion_angle_deg": t.motion_angle_deg,
-            }
-            for t in scenario.targets
-        ],
-        "rng_seed": scenario.rng_seed,
-    }
+    """JSON-ready document of a scenario: infinite levels become null and
+    only the set one of pulses_per_pri / unambiguous_range_bins is kept."""
+    doc = asdict(scenario)
+    system = doc["system"]
+    for name in ("snr_db", "scr_db"):
+        if math.isinf(system[name]):
+            system[name] = None
+    for name in ("pulses_per_pri", "unambiguous_range_bins"):
+        if system[name] is None:
+            del system[name]
+    return doc
 
 
-_SYSTEM_KEYS = {
-    "carrier_frequency_hz", "chip_period_s", "code_length", "pris_per_cpi",
-    "tx_count", "rx_count", "tx_power_w", "snr_db", "scr_db", "baseline_bins",
-    "pulses_per_pri", "unambiguous_range_bins",
-}
-_TARGET_KEYS = {
-    "tx_range_bins", "rx_range_bins", "doa_deg", "dod_deg",
-    "bistatic_angle_deg", "rcs_mean_m2", "swerling_model", "velocity_mps",
-    "motion_angle_deg",
-}
+_SYSTEM_KEYS = {f.name for f in fields(SystemConfig)}
+_TARGET_KEYS = {f.name for f in fields(TargetSpec)}
 
 
 def scenario_from_dict(doc: dict) -> Scenario:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bmradar as b
+from bmradar import harness
 from bmradar.cli import main as cli_main
 from bmradar.harness import TargetEstimate, align_to_truth
 from conftest import make_tiny_scenario
@@ -130,6 +131,25 @@ class TestAlignToTruth:
         assert aligned[1].delay_bins == 199
 
 
+def _plain_rmse(report, targets, snr_idx, method, field, drop=False):
+    """One RMSE of a report recomputed from its records in plain Python:
+    a missing angle costs max(truth, 180 - truth), or is skipped under drop."""
+    per_target = []
+    for k, target in enumerate(targets):
+        truth = getattr(target, field)
+        sq = []
+        for rec in report.records:
+            if rec.snr_idx != snr_idx:
+                continue
+            value = getattr(rec.aligned[method][k], field, None)
+            if value is None and drop:
+                continue
+            err = max(truth, 180.0 - truth) if value is None else value - truth
+            sq.append(err * err)
+        per_target.append(math.sqrt(sum(sq) / len(sq)))
+    return sum(per_target) / len(per_target)
+
+
 class TestMonteCarlo:
     def test_single_trial_rmse_is_absolute_error(self, tiny_noisy):
         report = b.monte_carlo_rmse(tiny_noisy, [20.0], trials=1, method="vst",
@@ -174,10 +194,69 @@ class TestMonteCarlo:
         assert r.points[0].failures["vst"] > 0
         worst_doa = max(120.0, 180.0 - 120.0)
         assert r.points[0].rmse["doa_vst"] >= worst_doa / 2  # averaged over 2 targets
+        # a mix of charged misses and estimates: one Rx antenna fails the
+        # baseline, the v-ST estimates still count
+        one_rx = replace(s, system=replace(s.system, rx_count=1),
+                         rx_array=b.ArrayGeometry(((0.0,), (0.0,), (0.0,))))
+        for scen in (two, one_rx):
+            report = b.monte_carlo_rmse(scen, [20.0, 10.0], trials=3, method="both",
+                                        seed=0)
+            for idx, point in enumerate(report.points):
+                for m in ("vst", "baseline"):
+                    for p in ("doa", "dod"):
+                        want = _plain_rmse(report, scen.targets, idx, m, f"{p}_deg")
+                        assert point.rmse[f"{p}_{m}"] == pytest.approx(want, rel=1e-12)
         r_drop = b.monte_carlo_rmse(two, [20.0], trials=1, method="vst", seed=0,
                                     drop_failures=True)
         assert math.isnan(r_drop.points[0].rmse["doa_vst"])
 
+    def test_bootstrap_matches_the_plain_loop(self, paper_scenario):
+        # 24 trials: past numpy's 8-way unrolled block, so summing over
+        # trials in another order shows in the last bits; the 0 dB point
+        # charges one baseline miss
+        scen = paper_scenario.with_system(pris_per_cpi=16, unambiguous_range_bins=130)
+        trials = 24
+        r = b.monte_carlo_rmse(scen, [20.0, 0.0], trials=trials, method="both", seed=3)
+        rng = np.random.default_rng(np.random.SeedSequence([harness._MC_DOMAIN, 3, 0xB007]))
+        for idx, point in enumerate(r.points):
+            recs = r.records[idx * trials:(idx + 1) * trials]
+            for m in ("vst", "baseline"):
+                for p in ("doa", "dod"):
+                    sq = []
+                    for k, target in enumerate(scen.targets):
+                        truth = getattr(target, f"{p}_deg")
+                        ests = [getattr(rec.aligned[m][k], f"{p}_deg", None) for rec in recs]
+                        errs = [max(truth, 180.0 - truth) if e is None else e - truth
+                                for e in ests]
+                        sq.append(np.array([err * err for err in errs]))
+                    draws = rng.integers(0, trials, size=(200, trials))
+                    samples = [np.mean([math.sqrt(v[d].mean()) for v in sq]) for d in draws]
+                    assert point.bootstrap_std[f"{p}_{m}"] == float(np.std(samples))
+                    assert point.rmse[f"{p}_{m}"] == float(
+                        np.mean([math.sqrt(v.mean()) for v in sq]))
+
+    def test_drop_failures_with_one_target_missed(self, paper_scenario, monkeypatch):
+        # target 1 of the first trial loses its angles, targets 0 and 2 keep
+        # theirs: the kept trial counts differ between targets
+        calls = []
+
+        def drop_first_target_1(truth, entries):
+            aligned = align_to_truth(truth, entries)
+            if not calls:
+                aligned[1] = replace(aligned[1], doa_deg=None, dod_deg=None)
+            calls.append(1)
+            return aligned
+
+        monkeypatch.setattr("bmradar.harness.align_to_truth", drop_first_target_1)
+        r = b.monte_carlo_rmse(paper_scenario, [20.0], trials=3, method="vst", seed=0,
+                               drop_failures=True)
+        point = r.points[0]
+        assert point.failures == {"vst": 2}
+        for p in ("doa", "dod"):
+            assert math.isfinite(point.rmse[f"{p}_vst"])
+            assert math.isfinite(point.bootstrap_std[f"{p}_vst"])
+            want = _plain_rmse(r, paper_scenario.targets, 0, "vst", f"{p}_deg", drop=True)
+            assert point.rmse[f"{p}_vst"] == pytest.approx(want, rel=1e-12)
 
     def test_baseline_failure_is_recorded_per_method(self, tmp_path, tiny_noisy):
         # one Rx antenna: the baseline's MUSIC cannot resolve even one
