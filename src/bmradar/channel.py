@@ -218,9 +218,13 @@ def synthesize_targets(
     samples = np.zeros((n_s, L, n_rx), dtype=complex)
     powers = []
     energy = 0.0
-    for coef, s_rx, w in _target_components(scenario, codes, symbols, states):
-        # outer product per PRI: samples[n, l, i] += coef[n] * w[l] * s_rx[i]
-        samples += coef[:, None, None] * w[None, :, None] * s_rx[None, None, :]
+    components = _target_components(scenario, codes, symbols, states)
+    for state, (coef, s_rx, w) in zip(states, components):
+        # outer product per PRI: samples[n, l, i] += coef[n] * w[l] * s_rx[i],
+        # added over the code support alone since w is zero outside it
+        d = state.truth.delay_bins
+        support = slice(d, d + codes.code_length)
+        samples[:, support] += coef[:, None, None] * w[None, support, None] * s_rx
         powers.append(state_mean_power(coef, w))
         energy += float(np.sum(np.abs(coef) ** 2) * np.sum(np.abs(w) ** 2) * n_rx)
     echo_power = max(powers) if powers else 0.0
@@ -254,11 +258,7 @@ def add_clutter(cube: DataCube, scr_db: float, rng: np.random.Generator) -> Data
         return cube
     if cube.echo_energy_per_sample <= 0:
         raise ValueError("clutter level needs a target echo power reference")
-    var = cube.echo_energy_per_sample / 10.0 ** (scr_db / 10.0)
-    sigma = math.sqrt(var / 2.0)
-    shape = cube.samples.shape
-    clutter = rng.normal(0.0, sigma, shape) + 1j * rng.normal(0.0, sigma, shape)
-    return replace(cube, samples=cube.samples + clutter)
+    return _with_gaussian(cube, cube.echo_energy_per_sample / 10.0 ** (scr_db / 10.0), rng)
 
 
 def add_noise(cube: DataCube, snr_db: float, rng: np.random.Generator) -> DataCube:
@@ -270,11 +270,21 @@ def add_noise(cube: DataCube, snr_db: float, rng: np.random.Generator) -> DataCu
     if math.isinf(snr_db) and snr_db > 0:
         return cube
     reference = cube.echo_power if cube.echo_power > 0 else 1.0
-    var = reference / 10.0 ** (snr_db / 10.0)
+    return _with_gaussian(cube, reference / 10.0 ** (snr_db / 10.0), rng)
+
+
+def _with_gaussian(cube: DataCube, var: float, rng: np.random.Generator) -> DataCube:
+    """A copy of cube plus circular complex Gaussian samples of variance var.
+
+    The real parts are drawn first, then the imaginary parts, each as one
+    draw of the cube's shape added in place: the same draws and sums as
+    adding ``a + 1j*b``, without the complex temporaries.
+    """
     sigma = math.sqrt(var / 2.0)
-    shape = cube.samples.shape
-    noise = rng.normal(0.0, sigma, shape) + 1j * rng.normal(0.0, sigma, shape)
-    return replace(cube, samples=cube.samples + noise)
+    samples = cube.samples.copy()
+    samples.real += rng.normal(0.0, sigma, samples.shape)
+    samples.imag += rng.normal(0.0, sigma, samples.shape)
+    return replace(cube, samples=samples)
 
 
 def synthesize_cube(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -351,6 +352,8 @@ def monte_carlo_rmse(
         raise ValueError("trials must be >= 1")
     if clutter_mode not in ("off", "scenario"):
         raise ValueError("clutter_mode must be 'off' or 'scenario'")
+    if not scenario.targets:
+        raise ValueError("targets is empty: angle RMSE needs at least one target")
     methods = _resolve_methods(method)
     grid = default_grid(scenario, grid)
 
@@ -432,6 +435,26 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _write_grid_csv(path: Path, header: list[str], axis0, axis1, cost) -> None:
+    """Long-format surface CSV, axis0-major: one line per (axis0, axis1) cell.
+
+    The bytes are those of ``_write_csv`` on the long (axis0, axis1, cost)
+    columns: CRLF lines, axis values through ``_fmt`` and costs as
+    ``%.12g``, which spells every float, nan and inf included, as
+    ``format(v, ".12g")``.  It writes one chunk per axis0 row, so memory
+    stays at one row whatever the grid size.
+    """
+    # one "%s,<axis1>,%.12g" line per axis1 cell; %s takes the row's axis0
+    template = "".join(f"%s,{_fmt(v)},%.12g\r\n" for v in axis1.tolist())
+    args = [None] * (2 * len(axis1))
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for a0, row in zip(axis0.tolist(), cost):
+            args[0::2] = [_fmt(a0)] * len(axis1)
+            args[1::2] = row.tolist()
+            fh.write(template % tuple(args))
+
+
 def emit_outputs(
     out_dir: str | Path,
     run: RunResult | None = None,
@@ -481,10 +504,8 @@ def emit_outputs(
             ("xi2_grid.csv", ["doa_deg", "dod_deg", "cost"], run.xi2_grid),
         ):
             if surface is not None:
-                axis0, axis1, cost = surface
-                columns = [*np.meshgrid(axis0, axis1, indexing="ij"), cost]
                 path = out / name
-                _write_csv(path, header, zip(*(c.ravel().tolist() for c in columns)))
+                _write_grid_csv(path, header, *surface)
                 written.append(path)
 
     if rmse is not None:
@@ -519,6 +540,7 @@ def emit_outputs(
     doc = {
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "versions": _versions(),
+        "threads": _thread_context(),
     }
     if run is not None:
         doc["run"] = {
@@ -551,3 +573,15 @@ def _versions() -> dict:
     from . import __version__
 
     return {"bmradar": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def _thread_context() -> dict:
+    """Usable cores and the BLAS/OpenMP thread caps set in the environment
+    (None when unset): the last digits of ``peak`` in estimates.csv depend
+    on the number of threads the BLAS library runs."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cores = os.cpu_count()
+    caps = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {"usable_cores": cores, **{name: os.environ.get(name) for name in caps}}

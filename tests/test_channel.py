@@ -251,6 +251,93 @@ class TestNoiseAndClutter:
             b.add_clutter(cube, -5.0, np.random.default_rng(0))
 
 
+def _whole_cube_reference(scenario, codes, symbols, states, rng):
+    """The synthesis formula over the whole cube, with complex temporaries:
+    every target added over all bins, then clutter and noise as a + 1j*b."""
+    system = scenario.system
+    shape = (system.pris_per_cpi, system.fast_time_bins, system.rx_count)
+    samples = np.zeros(shape, dtype=complex)
+    for coef, s_rx, w in channel._target_components(scenario, codes, symbols, states):
+        samples += coef[:, None, None] * w[None, :, None] * s_rx[None, None, :]
+    clean = channel.synthesize_targets(scenario, codes, symbols, states)
+    levels = []
+    if scenario.targets and not math.isinf(system.scr_db):
+        levels.append(clean.echo_energy_per_sample / 10.0 ** (system.scr_db / 10.0))
+    if not math.isinf(system.snr_db):
+        levels.append((clean.echo_power or 1.0) / 10.0 ** (system.snr_db / 10.0))
+    for var in levels:
+        sigma = math.sqrt(var / 2.0)
+        samples = samples + (rng.normal(0.0, sigma, shape)
+                             + 1j * rng.normal(0.0, sigma, shape))
+    return samples
+
+
+def _at_delays(*delays):
+    """Edit the drawn states: the first targets moved to the given delays."""
+    def edit(scenario, states):
+        return [replace(st, truth=replace(st.truth, delay_bins=d))
+                for st, d in zip(states, delays)] + states[len(delays):]
+    return edit
+
+
+def _tiny_two_targets(**kw):
+    return make_tiny_scenario(targets=(
+        b.TargetSpec(2, 3, 120.0, 60.0, 40.0, velocity_mps=100.0),
+        b.TargetSpec(2, 4, 80.0, 30.0, 70.0, swerling_model=2, velocity_mps=-50.0),
+    ), **kw)
+
+
+class TestSynthesisMatchesWholeCubeFormula:
+    """Support-sliced echoes and in-place Gaussian draws give the cube of the
+    whole-cube formula bit for bit, and leave the generator where it was."""
+
+    @pytest.mark.parametrize("case", [
+        "paper", "paper-no-clutter", "tiny", "tiny-swerling2",
+        "paper-edge-delays", "tiny-edge-delays",
+    ])
+    def test_cube_and_next_draw_unchanged(self, paper_scenario, case):
+        tiny_two = _tiny_two_targets(snr_db=15.0, scr_db=-3.0, n_s=24)
+        scenario, edit = {
+            "paper": (paper_scenario, _at_delays()),
+            "paper-no-clutter": (paper_scenario.with_system(scr_db=float("inf")),
+                                 _at_delays()),
+            "tiny": (make_tiny_scenario(snr_db=10.0, scr_db=0.0), _at_delays()),
+            "tiny-swerling2": (tiny_two, _at_delays()),
+            # delay 0 and the last unambiguous delay L - nc
+            "paper-edge-delays": (paper_scenario, _at_delays(0, 524 - 15)),
+            "tiny-edge-delays": (tiny_two, _at_delays(14 - 7, 0)),
+        }[case]
+        codes, symbols = build_waveform(scenario)
+        rngs = np.random.default_rng(21), np.random.default_rng(21)
+        cubes = []
+        for rng, reference in zip(rngs, (False, True)):
+            states = edit(scenario, channel.draw_target_states(scenario, rng))
+            if reference:
+                cubes.append(_whole_cube_reference(scenario, codes, symbols, states, rng))
+                continue
+            cube = channel.synthesize_targets(scenario, codes, symbols, states)
+            cube = b.add_clutter(cube, scenario.system.scr_db, rng)
+            cubes.append(b.add_noise(cube, scenario.system.snr_db, rng).samples)
+        assert cubes[0].tobytes() == cubes[1].tobytes()
+        assert rngs[0].random() == rngs[1].random()
+
+    def test_synthesize_cube_is_the_chain(self, paper_scenario):
+        codes, symbols = build_waveform(paper_scenario)
+        rng = np.random.default_rng(8)
+        states = channel.draw_target_states(paper_scenario, rng)
+        expected = _whole_cube_reference(paper_scenario, codes, symbols, states, rng)
+        cube = b.synthesize_cube(paper_scenario, codes, symbols, np.random.default_rng(8))
+        assert cube.samples.tobytes() == expected.tobytes()
+
+    def test_inputs_are_not_mutated(self, paper_scenario):
+        cube, *_ = clean_cube(paper_scenario)
+        before = cube.samples.copy()
+        rng = np.random.default_rng(9)
+        b.add_clutter(cube, -5.0, rng)
+        b.add_noise(cube, 20.0, rng)
+        assert cube.samples.tobytes() == before.tobytes()
+
+
 class TestCubeIO:
     def test_round_trip(self, tiny_scenario, tmp_path):
         cube, *_ = clean_cube(tiny_scenario)

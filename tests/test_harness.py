@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bmradar as b
-from bmradar import harness
+from bmradar import cli, harness
 from bmradar.cli import main as cli_main
 from bmradar.harness import TargetEstimate, align_to_truth
 from conftest import make_tiny_scenario
@@ -177,6 +177,14 @@ class TestMonteCarlo:
         r2 = b.monte_carlo_rmse(tiny_noisy, [10.0, 20.0], trials=3, method="vst",
                                 seed=4)
         assert seeds == [rec.seed for rec in r2.records]
+
+    def test_sweep_without_targets_is_rejected_before_any_trial(
+            self, paper_scenario, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_scenario", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="targets"):
+            b.monte_carlo_rmse(replace(paper_scenario, targets=()), [20.0], 2)
+        assert calls == []
 
     def test_clutter_mode_scenario_keeps_level(self):
         s = make_tiny_scenario(snr_db=20.0, scr_db=0.0, n_s=32)
@@ -356,11 +364,76 @@ class TestEmitOutputs:
         assert doc["config"]["note"] == 1
         assert "numpy" in doc["versions"]
 
+    def test_run_json_records_the_thread_context(self, tiny_noisy, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        b.emit_outputs(tmp_path, run=b.run_scenario(tiny_noisy, method="vst", seed=1))
+        threads = json.loads((tmp_path / "run.json").read_text())["threads"]
+        assert set(threads) == {"usable_cores", "OPENBLAS_NUM_THREADS",
+                                "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert isinstance(threads["usable_cores"], int) and threads["usable_cores"] >= 1
+        assert threads["OMP_NUM_THREADS"] == "1"
+        assert threads["OPENBLAS_NUM_THREADS"] is None
+        assert threads["MKL_NUM_THREADS"] is None
+
     def test_crlf_line_endings(self, tiny_noisy, tmp_path):
         result = b.run_scenario(tiny_noisy, method="vst", seed=1)
         b.emit_outputs(tmp_path, run=result)
         raw = (tmp_path / "estimates.csv").read_bytes()
         assert b"\r\n" in raw
+
+
+def _long_column_grid_csv(path, header, axis0, axis1, cost):
+    """Reference surface writer: meshgrid columns, one csv.writer row each."""
+    columns = [*np.meshgrid(axis0, axis1, indexing="ij"), cost]
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*(c.ravel().tolist() for c in columns)):
+            writer.writerow([harness._fmt(v) for v in row])
+
+
+# costs that spell differently under careless formatting: specials, the
+# extremes, and values that round at the 12th significant digit
+_AWKWARD_COSTS = np.array([
+    math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1234567890125,
+    1.0000000000005, 9.9999999999995, 123456789012.5, 999999999999.5,
+    2.5e-5, -1 / 3, 0.0, 1e16,
+])
+
+
+class TestGridCsv:
+    HEADER = ["delay_bins", "doppler_hz", "cost"]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (0, 4), (4, 0), (0, 0),
+                                       (5, 9)])
+    @pytest.mark.parametrize("axis0_kind", ["int", "float"])
+    def test_bytes_equal_the_long_column_writer(self, tmp_path, shape, axis0_kind):
+        n0, n1 = shape
+        axis0 = (np.arange(n0) * 3 + 2 if axis0_kind == "int"
+                 else np.linspace(-0.0, 180.0, n0) / 7)
+        axis1 = np.linspace(-250.0, 250.0, n1) / 3
+        cost = np.resize(_AWKWARD_COSTS, shape)
+        harness._write_grid_csv(tmp_path / "new.csv", self.HEADER, axis0, axis1, cost)
+        _long_column_grid_csv(tmp_path / "ref.csv", self.HEADER, axis0, axis1, cost)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_full_grid_memory_is_bounded(self, tmp_path):
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        axis0, axis1 = np.arange(510), np.linspace(-500.0, 500.0, 257)
+        cost = rng.random((510, 257)) * 10.0 ** rng.integers(-8, 8, (510, 257))
+        tracemalloc.start()
+        try:
+            harness._write_grid_csv(tmp_path / "g.csv", self.HEADER, axis0, axis1, cost)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6  # the long-column writer needs about 15 MB here
+        _long_column_grid_csv(tmp_path / "ref.csv", self.HEADER, axis0, axis1, cost)
+        assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestCli:
@@ -410,15 +483,27 @@ class TestCli:
         assert flag[0] in capsys.readouterr().err
         assert not (tmp_path / "mc").exists()
 
-    def test_grids_subcommand(self, tmp_path):
+    def test_grids_subcommand(self, tmp_path, monkeypatch):
+        runs = []
+
+        def keep_run(out_dir, run=None, **kwargs):
+            runs.append(run)
+            return harness.emit_outputs(out_dir, run=run, **kwargs)
+
+        monkeypatch.setattr(cli, "emit_outputs", keep_run)
         scen = self._write_tiny(tmp_path)
         out = tmp_path / "grids"
         rc = cli_main(["grids", "--scenario", str(scen), "--out", str(out),
                        "--angle-step", "5.0"])
         assert rc == 0
-        for name in ("xi1_grid.csv", "xi2_grid.csv"):
+        for name, header, surface in (
+            ("xi1_grid.csv", ["delay_bins", "doppler_hz", "cost"], runs[0].xi1_grid),
+            ("xi2_grid.csv", ["doa_deg", "dod_deg", "cost"], runs[0].xi2_grid),
+        ):
             lines = (out / name).read_text().splitlines()
             assert len(lines) > 10
+            _long_column_grid_csv(tmp_path / name, header, *surface)
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_default_scenario_is_bundled(self, tmp_path):
         # no --scenario: the bundled configuration loads (smoke, k=0 runs fast)
