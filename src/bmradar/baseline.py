@@ -22,7 +22,8 @@ from functools import partial
 import numpy as np
 
 from .channel import DataCube
-from .estimation import GridSpec, SubspaceBasis, despread_gate, greedy_peaks, subspace_split
+from .estimation import (GridSpec, SubspaceBasis, despread_gate, greedy_peaks,
+                         linear_assignment, subspace_split)
 from .manifold import spatial_manifold
 from .scenario import ArrayGeometry, Scenario, derive_params
 from .waveform import CodeMatrix
@@ -201,18 +202,16 @@ def associate_doa_to_range(
 
     Returns, for each delay index, the index of the DOA peak whose steered
     beam collects the most power from that despread range gate; the pairing
-    is one-to-one (assignment maximising total power).
+    is one-to-one: estimation.linear_assignment on the negated powers
+    maximises the total power.
     """
-    from scipy.optimize import linear_sum_assignment
-
     power = np.zeros((len(delays), len(doas)))
     for di, d in enumerate(delays):
         gate = despread_gate(cube, codes, d)
         for ai, theta in enumerate(doas):
             steer = spatial_manifold(rx_geometry, theta, 0.0, wavelength_m, "rx")
             power[di, ai] = float(np.sum(np.abs(gate @ np.conj(steer)) ** 2))
-    rows, cols = linear_sum_assignment(-power)
-    pairing = dict(zip(rows.tolist(), cols.tolist()))
+    pairing = dict(zip(*linear_assignment(-power)))
     return [pairing[i] for i in range(len(delays))]
 
 

@@ -63,6 +63,7 @@ __all__ = [
     "xi1_cost",
     "xi1_surface",
     "greedy_peaks",
+    "linear_assignment",
     "range_doppler_search",
     "despread_gate",
     "doppler_refine",
@@ -311,6 +312,71 @@ def greedy_peaks(values: np.ndarray, positions: np.ndarray, radius: float, k: in
         if len(peaks) == k:
             break
     return peaks
+
+
+def linear_assignment(cost) -> tuple[list[int], list[int]]:
+    """Minimum-total-cost one-to-one pairing of the rows and columns of cost.
+
+    Returns (rows, cols), min(n_rows, n_cols) pairs sorted by row.  This
+    is the shortest-augmenting-path algorithm of Crouse, "On implementing
+    2D rectangular assignment algorithms", IEEE TAES 52(4), 2016, written
+    as scipy.optimize.linear_sum_assignment runs it, in the same
+    floating-point operation order and with the same tie-breaks, so both
+    return the same pairs: a tall matrix is solved transposed, columns are
+    scanned from the last one, and among equally short paths one ending in
+    a free column wins.  Costs must be finite.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if not np.isfinite(cost).all():
+        raise ValueError("assignment costs must be finite")
+    transpose = cost.shape[0] > cost.shape[1]
+    if transpose:
+        cost = cost.T
+    nr, nc = cost.shape
+    c = cost.tolist()
+    u, v = [0.0] * nr, [0.0] * nc
+    col4row, row4col, path = [-1] * nr, [-1] * nc, [-1] * nc
+    for cur in range(nr):
+        # Dijkstra over reduced costs from row cur to the nearest free column
+        spc = [math.inf] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        rows_seen, cols_seen = [], []
+        i, min_val, sink = cur, 0.0, -1
+        while sink == -1:
+            rows_seen.append(i)
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                # scipy's summation order: on ties, another order rounds
+                # differently and can pick another column
+                r = min_val + c[i][j] - u[i] - v[j]
+                if r < spc[j]:
+                    path[j], spc[j] = i, r
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    index, lowest = it, spc[j]
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # dual update, then flip the path's assignments
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    pairs = sorted(zip(col4row, range(nr))) if transpose else list(enumerate(col4row))
+    return [p[0] for p in pairs], [p[1] for p in pairs]
 
 
 def range_doppler_search(

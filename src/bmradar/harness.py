@@ -20,7 +20,6 @@ from dataclasses import replace as dc_replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import baseline as baseline_mod
 from .channel import TargetTruth, dump_cube, synthesize_cube
@@ -31,6 +30,7 @@ from .estimation import (
     doa_dod_search,
     doppler_refine,
     estimate_signal_dim,
+    linear_assignment,
     prepare_xi2_context,
     range_doppler_search,
     subspace_split,
@@ -182,8 +182,14 @@ def run_scenario(
             VirtualSnapshots(cube.samples, blockers), blockers, refined, codes,
             scenario, signal_dim=k_eff,
         )
-        by_context = {ctx: (th, tb, val) for th, tb, val, ctx in
-                      doa_dod_search(context, k_eff, grid)}
+        # xi2 is flat along the angle of a one-element array, whose search
+        # returns the first grid node: that angle is reported missing
+        keep_doa, keep_dod = system.rx_count > 1, system.tx_count > 1
+        blind = " and ".join(a for a, keep in (("DOA", keep_doa), ("DOD", keep_dod))
+                             if not keep)
+        error = f"{blind} not observable with a one-element array" if blind else None
+        by_context = {ctx: (th if keep_doa else None, tb if keep_dod else None, val, error)
+                      for th, tb, val, ctx in doa_dod_search(context, k_eff, grid)}
         return [
             TargetEstimate(d, f_hat, *by_context[idx]) if idx in by_context
             else TargetEstimate(d, f_hat, None, None, error="no direction peak assigned")
@@ -242,7 +248,7 @@ def align_to_truth(
                     + abs(e.delay_bins - t.delay_bins)
                     + abs(e.doppler_hz - t.doppler_hz)
                 )
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = linear_assignment(cost)
     out: list[TargetEstimate | None] = [None] * len(truth)
     for r, c in zip(rows, cols):
         out[r] = entries[c]
@@ -568,11 +574,9 @@ def emit_outputs(
 
 
 def _versions() -> dict:
-    import scipy
-
     from . import __version__
 
-    return {"bmradar": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+    return {"bmradar": __version__, "numpy": np.__version__}
 
 
 def _thread_context() -> dict:

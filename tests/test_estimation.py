@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -288,6 +289,68 @@ class TestRangeDopplerSearch:
         ))
         with pytest.raises(est.PeakError, match="found only 1"):
             est.range_doppler_search(cube, codes, 2, grid, s.system)
+
+
+def _assignment_costs(kind, rng, shape):
+    if kind == "normal":
+        return rng.normal(size=shape)
+    if kind == "integer_ties":
+        return rng.integers(0, 4, size=shape).astype(float)
+    if kind == "one_decimal":  # ties that depend on the rounding order
+        return np.round(rng.uniform(0.0, 3.0, size=shape), 1)
+    # align_to_truth: |ddoa| + |ddod| where an estimate has angles, else
+    # 360 + |ddelay| + |ddoppler|
+    n = max(shape)
+    truth = rng.uniform(0.0, 180.0, size=(n, 2))
+    near = truth[rng.permutation(n)[:shape[1]]]
+    est_angles = np.round(near + rng.normal(0.0, 0.5, size=near.shape), 2)
+    angle_cost = np.abs(truth[:shape[0], None] - est_angles[None]).sum(axis=-1)
+    fallback = (360.0 + rng.integers(0, 3, size=shape)
+                + np.abs(np.round(rng.normal(0.0, 50.0, size=shape), 1)))
+    return np.where(rng.random(shape[1]) < 0.4, fallback, angle_cost)
+
+
+class TestLinearAssignment:
+    SHAPES = [(n, n) for n in range(1, 9)] + [(2, 5), (3, 7), (5, 2), (7, 3), (1, 6),
+                                              (6, 1), (0, 4), (4, 0), (0, 0)]
+
+    KINDS = ["normal", "integer_ties", "one_decimal", "align_to_truth"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_same_pairs_as_scipy(self, kind):
+        # scipy is a test-only dependency: the reference, never the runtime
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(self.KINDS.index(kind))
+        for shape in self.SHAPES:
+            for _ in range(60):
+                cost = _assignment_costs(kind, rng, shape)
+                rows, cols = optimize.linear_sum_assignment(cost)
+                assert est.linear_assignment(cost) == (rows.tolist(), cols.tolist())
+                # a maximisation, as associate_doa_to_range runs it
+                rows, cols = optimize.linear_sum_assignment(-cost)
+                assert est.linear_assignment(-cost) == (rows.tolist(), cols.tolist())
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 4), (2, 4), (4, 2), (5, 3)])
+    def test_total_cost_is_the_brute_force_minimum(self, shape):
+        rng = np.random.default_rng(shape)
+        for _ in range(50):
+            cost = rng.integers(0, 5, size=shape).astype(float)
+            rows, cols = est.linear_assignment(cost)
+            assert len(set(rows)) == len(set(cols)) == min(shape)
+            assert rows == sorted(rows)
+            wide = cost if shape[0] <= shape[1] else cost.T
+            best = min(sum(wide[i, j] for i, j in enumerate(perm))
+                       for perm in itertools.permutations(range(wide.shape[1]), wide.shape[0]))
+            assert cost[rows, cols].sum() == best
+
+    def test_constant_costs_pair_the_diagonal(self):
+        assert est.linear_assignment(np.ones((3, 5))) == ([0, 1, 2], [0, 1, 2])
+        assert est.linear_assignment(np.ones((5, 3))) == ([0, 1, 2], [0, 1, 2])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_costs_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            est.linear_assignment(np.array([[1.0, bad], [2.0, 3.0]]))
 
 
 class TestDopplerRefine:

@@ -1,7 +1,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +101,24 @@ class TestRunScenario:
         for e, v in zip(vst.entries, both.reports["baseline"].entries):
             assert (e.delay_bins, e.doppler_hz) == (v.delay_bins, v.doppler_hz)
             assert (e.doa_deg, e.dod_deg, e.error) == (None, None, message)
+
+    @pytest.mark.parametrize("side, kept, missing", [("rx", "dod_deg", "doa_deg"),
+                                                     ("tx", "doa_deg", "dod_deg")])
+    def test_one_element_array_reports_its_angle_missing(self, tiny_noisy, side, kept,
+                                                         missing):
+        # xi2 is flat along the angle of a one-element array, whose search
+        # would return the first grid node, 0.0 degrees
+        s = replace(tiny_noisy, system=replace(tiny_noisy.system, **{f"{side}_count": 1}),
+                    **{f"{side}_array": b.ArrayGeometry(((0.0,), (0.0,), (0.0,)))})
+        result = b.run_scenario(s, method="vst", seed=0)
+        t, e = result.truth[0], result.reports["vst"].entries[0]
+        assert getattr(e, missing) is None
+        assert e.error == f"{missing[:3].upper()} not observable with a one-element array"
+        assert abs(getattr(e, kept) - getattr(t, kept)) < 0.1
+        assert e.delay_bins == t.delay_bins
+        assert abs(e.doppler_hz - t.doppler_hz) < 200.0
+        assert e.peak > 1.0
+        assert "error" not in result.reports["vst"].metadata
 
 
 class TestAlignToTruth:
@@ -276,7 +298,9 @@ class TestMonteCarlo:
         assert rec.failed == {
             "baseline": "ValueError: cannot resolve 1 sources with 1 antennas"}
         assert rec.aligned["vst"][0].dod_deg is not None
-        assert r.points[0].failures == {"vst": 0, "baseline": 2}
+        # v-ST cannot observe the DOA with one Rx antenna; its DOD counts
+        assert rec.aligned["vst"][0].doa_deg is None
+        assert r.points[0].failures == {"vst": 1, "baseline": 2}
         b.emit_outputs(tmp_path, rmse=r)
         with (tmp_path / "failures.csv").open() as fh:
             rows = list(csv.DictReader(fh))
@@ -362,7 +386,8 @@ class TestEmitOutputs:
         doc = json.loads((tmp_path / "run.json").read_text())
         assert doc["run"]["seed"] == 1
         assert doc["config"]["note"] == 1
-        assert "numpy" in doc["versions"]
+        # scipy runs no code of a run, so its version cannot affect an output
+        assert sorted(doc["versions"]) == ["bmradar", "numpy"]
 
     def test_run_json_records_the_thread_context(self, tiny_noisy, tmp_path, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "1")
@@ -401,6 +426,32 @@ _AWKWARD_COSTS = np.array([
     1.0000000000005, 9.9999999999995, 123456789012.5, 999999999999.5,
     2.5e-5, -1 / 3, 0.0, 1e16,
 ])
+
+
+class TestRuntimeDependencies:
+    def test_runs_sweeps_and_outputs_never_import_scipy(self, tiny_noisy, tmp_path):
+        # scipy is a test-only dependency; a fresh interpreter sees whether
+        # any module of the package, or a lazy import inside a function,
+        # loads it
+        scenario_path = tmp_path / "tiny.json"
+        b.save_scenario(tiny_noisy, scenario_path)
+        script = f"""
+import sys
+import bmradar as b
+import bmradar.cli
+s = b.load_scenario({str(scenario_path)!r})
+run = b.run_scenario(s, method="both", seed=0)
+rmse = b.monte_carlo_rmse(s, [20.0], trials=1, method="both", seed=0)
+b.emit_outputs({str(tmp_path / "out")!r}, run=run, rmse=rmse)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+        assert (tmp_path / "out" / "rmse.csv").exists()
 
 
 class TestGridCsv:
