@@ -254,11 +254,7 @@ def add_clutter(cube: DataCube, scr_db: float, rng: np.random.Generator) -> Data
     target echo energy to total clutter energy over the CPI equals scr_db.
     scr_db=+inf leaves the cube unchanged.
     """
-    if math.isinf(scr_db) and scr_db > 0:
-        return cube
-    if cube.echo_energy_per_sample <= 0:
-        raise ValueError("clutter level needs a target echo power reference")
-    return _with_gaussian(cube, cube.echo_energy_per_sample / 10.0 ** (scr_db / 10.0), rng)
+    return _with_gaussian(cube, _clutter_variance(cube, scr_db), rng)
 
 
 def add_noise(cube: DataCube, snr_db: float, rng: np.random.Generator) -> DataCube:
@@ -267,24 +263,45 @@ def add_noise(cube: DataCube, snr_db: float, rng: np.random.Generator) -> DataCu
     With no targets present the reference power defaults to 1, giving noise
     variance 10**(-snr/10).
     """
+    return _with_gaussian(cube, _noise_variance(cube, snr_db), rng)
+
+
+def _clutter_variance(cube: DataCube, scr_db: float) -> float | None:
+    """Clutter variance for scr_db, or None when clutter is disabled."""
+    if math.isinf(scr_db) and scr_db > 0:
+        return None
+    if cube.echo_energy_per_sample <= 0:
+        raise ValueError("clutter level needs a target echo power reference")
+    return cube.echo_energy_per_sample / 10.0 ** (scr_db / 10.0)
+
+
+def _noise_variance(cube: DataCube, snr_db: float) -> float | None:
+    """Noise variance for snr_db, or None when noise is disabled."""
     if math.isinf(snr_db) and snr_db > 0:
-        return cube
+        return None
     reference = cube.echo_power if cube.echo_power > 0 else 1.0
-    return _with_gaussian(cube, reference / 10.0 ** (snr_db / 10.0), rng)
+    return reference / 10.0 ** (snr_db / 10.0)
 
 
-def _with_gaussian(cube: DataCube, var: float, rng: np.random.Generator) -> DataCube:
-    """A copy of cube plus circular complex Gaussian samples of variance var.
+def _with_gaussian(cube: DataCube, var: float | None, rng: np.random.Generator) -> DataCube:
+    """A copy of cube plus Gaussian samples of variance var (None: cube)."""
+    if var is None:
+        return cube
+    samples = cube.samples.copy()
+    _add_gaussian(samples, var, rng)
+    return replace(cube, samples=samples)
+
+
+def _add_gaussian(samples: np.ndarray, var: float, rng: np.random.Generator) -> None:
+    """Add circular complex Gaussian samples of variance var in place.
 
     The real parts are drawn first, then the imaginary parts, each as one
-    draw of the cube's shape added in place: the same draws and sums as
-    adding ``a + 1j*b``, without the complex temporaries.
+    draw of the array's shape: the same draws and sums as adding
+    ``a + 1j*b``, without the complex temporaries.
     """
     sigma = math.sqrt(var / 2.0)
-    samples = cube.samples.copy()
     samples.real += rng.normal(0.0, sigma, samples.shape)
     samples.imag += rng.normal(0.0, sigma, samples.shape)
-    return replace(cube, samples=samples)
 
 
 def synthesize_cube(
@@ -294,12 +311,17 @@ def synthesize_cube(
     rng: np.random.Generator,
 ) -> DataCube:
     """Full received cube: target echoes plus clutter plus noise at the
-    scenario's configured levels."""
+    scenario's configured levels.
+
+    The echo cube is a fresh array, so clutter and then noise are added
+    into it in place, with add_clutter's and add_noise's draws.
+    """
     states = draw_target_states(scenario, rng)
     cube = synthesize_targets(scenario, codes, symbols, states)
-    if scenario.targets:
-        cube = add_clutter(cube, scenario.system.scr_db, rng)
-    cube = add_noise(cube, scenario.system.snr_db, rng)
+    clutter = _clutter_variance(cube, scenario.system.scr_db) if scenario.targets else None
+    for var in (clutter, _noise_variance(cube, scenario.system.snr_db)):
+        if var is not None:
+            _add_gaussian(cube.samples, var, rng)
     return cube
 
 

@@ -21,6 +21,19 @@ an outer product of basis row d + q (length P) and chip row q of W
 gram of the stacked X_q, and every Doppler column from one product of the
 lag terms with the (lag x Doppler) phase matrix.
 
+The signal basis U_s spans the top P eigenvectors of the L x L covariance,
+and nothing else of its spectrum is needed, so subspace_split never takes
+a full eigendecomposition.  It runs a restarted block Krylov solver
+(Halko, Martinsson & Tropp, SIAM Review 53(2), 2011; Musco & Musco,
+NeurIPS 2015): from a fixed-seed start block of b = 2P columns it builds
+up to six blocks C^j Q with two-pass block Gram-Schmidt, orthonormalises
+the stack with one QR (the blocks break down into rounding noise on a
+rank-deficient C), and takes the Rayleigh-Ritz pairs of C on that space.
+It restarts from the top-b Ritz vectors until every top-P residual
+||C v - theta v|| is at most 1e-13 theta_1.  When the stacked blocks span
+the whole space, as for a 5 x 5 spatial covariance, the Rayleigh-Ritz
+step is an exact eigensolve.
+
 Stage 1's Doppler axis has little leverage (the intra-PRI phase ramp over
 one code support is tiny), so the per-target Doppler is refined from the
 slow-time sequence obtained by despreading at the estimated delay:
@@ -83,6 +96,13 @@ _XI1_DELAY_BLOCK = 32
 # zero-padding factor of the slow-time Doppler periodogram
 _DOPPLER_PAD_FACTOR = 16
 
+# subspace_split's block Krylov solver: the seed of its start block, the
+# blocks per restart, the relative residual that stops it and its cap
+_KRYLOV_SEED = 0x4B52594C
+_KRYLOV_DEPTH = 6
+_KRYLOV_TOL = 1e-13
+_KRYLOV_MAX_RESTARTS = 50
+
 
 class PeakError(RuntimeError):
     """Raised when a search cannot find the requested number of peaks."""
@@ -90,11 +110,21 @@ class PeakError(RuntimeError):
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal signal-subspace basis plus the covariance spectrum."""
+    """Orthonormal signal-subspace basis plus the head of its spectrum.
+
+    From subspace_split, eigenvalues holds the top-b Ritz values (b =
+    min(ambient, 2 * signal_dim)), not the whole spectrum, and the last
+    three fields describe the solver's run: restarts taken, the largest
+    top-signal_dim residual ||C v - theta v|| relative to theta_1, and
+    whether that residual met the tolerance.
+    """
 
     basis: np.ndarray        # ambient x signal_dim, orthonormal columns
-    eigenvalues: np.ndarray  # descending, real
+    eigenvalues: np.ndarray  # descending, real, clipped at zero
     signal_dim: int
+    restarts: int = 0
+    residual: float = 0.0
+    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -158,18 +188,51 @@ def temporal_covariance(cube: DataCube) -> np.ndarray:
 
 
 def subspace_split(cov: np.ndarray, signal_dim: int) -> SubspaceBasis:
-    """Top signal_dim eigenvectors of a Hermitian covariance matrix.
+    """Top signal_dim eigenvectors of a Hermitian PSD covariance matrix.
 
-    The reported eigenvalues are the whole spectrum, descending and
-    clipped at zero.  Snapshot sets go through _gram_subspace instead.
+    The restarted block Krylov solver of the module docstring, with
+    b = min(ambient, 2 * signal_dim) columns and up to _KRYLOV_DEPTH
+    blocks per restart; it stops once every top-signal_dim Ritz pair has
+    ||C v - theta v|| <= _KRYLOV_TOL * theta_1, or after
+    _KRYLOV_MAX_RESTARTS restarts, and reports which.  The eigenvalues
+    are the b Ritz values, descending and clipped at zero.  The start
+    block comes from a fixed seed, so the result is a pure function of
+    cov.  Snapshot sets go through _gram_subspace instead.
     """
     ambient = cov.shape[0]
     if not 0 < signal_dim < ambient:
         raise ValueError(f"signal_dim must be in (0, {ambient})")
-    vals, vecs = np.linalg.eigh(cov)
-    order = np.argsort(vals)[::-1]
-    vals = np.maximum(vals[order].real, 0.0)
-    return SubspaceBasis(vecs[:, order[:signal_dim]], vals, signal_dim)
+    width = min(ambient, 2 * signal_dim)
+    rng = np.random.default_rng(_KRYLOV_SEED)
+    block = np.linalg.qr(rng.standard_normal((ambient, width))
+                         + 1j * rng.standard_normal((ambient, width)))[0]
+    c_block = cov @ block
+    size = min(_KRYLOV_DEPTH * width, ambient)
+    for restart in range(1, _KRYLOV_MAX_RESTARTS + 1):
+        stack, w = block, c_block  # w: cov times the newest block
+        while stack.shape[1] < size:
+            for _ in range(2):  # block Gram-Schmidt: twice is enough
+                w -= stack @ (w.conj().T @ stack).conj().T
+            stack = np.hstack([stack, np.linalg.qr(w)[0]])
+            if stack.shape[1] < size:
+                w = cov @ stack[:, -width:]
+        # a rank-deficient cov breaks the blocks down into rounding noise:
+        # one QR of the stack keeps the Rayleigh-Ritz basis orthonormal
+        space = np.linalg.qr(stack)[0]
+        c_space = cov @ space
+        theta, y = np.linalg.eigh(space.conj().T @ c_space)
+        top = y[:, ::-1][:, :width]
+        theta = theta[::-1][:width]
+        ritz, c_ritz = space @ top, c_space @ top
+        res = np.linalg.norm(c_ritz[:, :signal_dim] - ritz[:, :signal_dim] * theta[:signal_dim],
+                             axis=0)
+        residual = float(res.max() / theta[0]) if theta[0] > 0 else 0.0
+        converged = bool(np.all(res <= _KRYLOV_TOL * theta[0]))
+        if converged:
+            break
+        block, c_block = ritz, c_ritz
+    return SubspaceBasis(ritz[:, :signal_dim], np.maximum(theta, 0.0), signal_dim,
+                         restart, residual, converged)
 
 
 def _gram_subspace(

@@ -153,14 +153,15 @@ def run_scenario(
     t0 = time.perf_counter()
     cov = temporal_covariance(cube)
     if estimate_k:
-        # one eigendecomposition: its spectrum picks the order, its leading
-        # eigenvectors are the basis
+        # one solve: its Ritz values pick the order, its leading Ritz
+        # vectors are the basis
         head = subspace_split(cov, min(12, cov.shape[0] - 1))
         k_eff = estimate_signal_dim(head.eigenvalues, max_dim=head.signal_dim)
-        basis = SubspaceBasis(head.basis[:, :k_eff], head.eigenvalues, k_eff)
+        basis = dc_replace(head, basis=head.basis[:, :k_eff], signal_dim=k_eff)
     else:
         k_eff = k if k is not None else scenario.target_count
         basis = subspace_split(cov, k_eff)
+    stage1_meta = _stage1_diagnostics(basis)
 
     stage1 = range_doppler_search(cube, codes, k_eff, grid, system, basis=basis)
     refined = [
@@ -207,7 +208,7 @@ def run_scenario(
         # past stage 1 the methods are isolated: a ValueError fails this
         # method alone, with one angle-less entry per stage-1 target
         t1 = time.perf_counter()
-        metadata = {}
+        metadata = {"stage1": stage1_meta}
         try:
             entries = tuple(chains[m]())
         except ValueError as exc:
@@ -222,6 +223,19 @@ def run_scenario(
         xi2_grid = (grid.theta_deg, grid.theta_bar_deg, surf2)
     return RunResult(scenario, int(seed), cube.truth, reports, code_kind,
                      xi1_grid, xi2_grid)
+
+
+def _stage1_diagnostics(basis: SubspaceBasis) -> dict:
+    """The stage-1 subspace solve as plain JSON values: the Ritz spectrum
+    head, its lambda_P / lambda_P+1 gap (None when lambda_P+1 is zero or
+    not reported), and the solver's restarts, final relative residual and
+    convergence flag."""
+    vals = [float(v) for v in basis.eigenvalues]
+    p = basis.signal_dim
+    gap = vals[p - 1] / vals[p] if len(vals) > p and vals[p] > 0 else None
+    return {"ritz_values": vals, "signal_dim": p, "gap": gap,
+            "restarts": basis.restarts, "residual": basis.residual,
+            "converged": basis.converged}
 
 
 def align_to_truth(
@@ -556,6 +570,11 @@ def emit_outputs(
             "methods": sorted(run.reports),
             "elapsed_s": {m: r.elapsed_s for m, r in run.reports.items()},
         }
+        # stage 1 is shared, so every report carries the same diagnostics
+        stage1 = [r.metadata["stage1"] for r in run.reports.values()
+                  if "stage1" in r.metadata]
+        if stage1:
+            doc["run"]["stage1"] = stage1[0]
     if rmse is not None:
         doc["monte_carlo"] = {
             "seed": rmse.seed,

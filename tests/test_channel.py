@@ -329,6 +329,28 @@ class TestSynthesisMatchesWholeCubeFormula:
         cube = b.synthesize_cube(paper_scenario, codes, symbols, np.random.default_rng(8))
         assert cube.samples.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("case", ["paper", "paper-no-clutter", "tiny", "no-targets"])
+    def test_in_place_draws_equal_the_two_copy_chain(self, paper_scenario, case):
+        # synthesize_cube adds clutter and noise into its fresh echo array;
+        # the cube and the generator's next draw are those of the public,
+        # copying add_clutter then add_noise
+        scenario = {
+            "paper": paper_scenario,
+            "paper-no-clutter": paper_scenario.with_system(scr_db=float("inf")),
+            "tiny": make_tiny_scenario(snr_db=10.0, scr_db=0.0),
+            "no-targets": replace(paper_scenario, targets=()),
+        }[case]
+        codes, symbols = build_waveform(scenario)
+        rngs = np.random.default_rng(31), np.random.default_rng(31)
+        cube = b.synthesize_cube(scenario, codes, symbols, rngs[0])
+        chain = channel.synthesize_targets(
+            scenario, codes, symbols, channel.draw_target_states(scenario, rngs[1]))
+        if scenario.targets:
+            chain = b.add_clutter(chain, scenario.system.scr_db, rngs[1])
+        chain = b.add_noise(chain, scenario.system.snr_db, rngs[1])
+        assert cube.samples.tobytes() == chain.samples.tobytes()
+        assert rngs[0].random() == rngs[1].random()
+
     def test_inputs_are_not_mutated(self, paper_scenario):
         cube, *_ = clean_cube(paper_scenario)
         before = cube.samples.copy()

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import bmradar as b
 from bmradar import estimation as est
+from bmradar import harness
+from bmradar.harness import _trial_seed
 from conftest import build_waveform, clean_cube, make_tiny_scenario
 
 
@@ -74,6 +76,31 @@ class TestTemporalCovariance:
         assert np.trace(cov).real == pytest.approx(mean_power * 524, rel=1e-9)
 
 
+def _psd_with_spectrum(vals, seed=0):
+    """Hermitian PSD matrix with eigenvalues vals in a seeded random basis."""
+    rng = np.random.default_rng(seed)
+    n = len(vals)
+    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    cov = (q * np.asarray(vals, dtype=float)) @ q.conj().T
+    return (cov + cov.conj().T) / 2
+
+
+def _gapped_spectrum(n, p, gap):
+    """p signal eigenvalues over a 1.0 .. 0.1 tail with lambda_p / lambda_p+1
+    equal to gap."""
+    return np.concatenate([gap * np.geomspace(4.0, 1.0, p) if p > 1 else [gap],
+                           np.linspace(1.0, 0.1, n - p)])
+
+
+def _eigh_top(cov, p):
+    vals, vecs = np.linalg.eigh(cov)
+    return vals[::-1], vecs[:, ::-1][:, :p]
+
+
+def _projector_distance(u, v):
+    return np.max(np.abs(u @ u.conj().T - v @ v.conj().T))
+
+
 class TestSubspaceSplit:
     def test_rank_one_recovers_direction(self):
         rng = np.random.default_rng(0)
@@ -125,6 +152,132 @@ class TestSubspaceSplit:
         gram = basis.basis.conj().T @ basis.basis
         assert np.max(np.abs(gram - np.eye(3))) < 1e-10
 
+    # the block Krylov solver against numpy's full eigh as the reference
+
+    @pytest.mark.parametrize("gap", [1.02, 2.0, 100.0])
+    def test_matches_eigh_at_every_gap(self, gap):
+        cov = _psd_with_spectrum(_gapped_spectrum(200, 3, gap), seed=1)
+        got = est.subspace_split(cov, 3)
+        vals, vecs = _eigh_top(cov, 3)
+        assert got.converged and got.residual <= 1e-13
+        assert got.eigenvalues.shape == (6,)
+        assert np.allclose(got.eigenvalues[:3], vals[:3], rtol=1e-12)
+        # the Ritz values interlace: never above the true eigenvalues
+        assert np.all(got.eigenvalues <= vals[:6] * (1 + 1e-12))
+        # residual 1e-13 * theta_1 over an absolute gap >= 0.02
+        assert _projector_distance(got.basis, vecs) < 1e-9
+
+    @pytest.mark.parametrize("signal_dim", range(1, 13))
+    def test_matches_eigh_at_every_signal_dim(self, signal_dim):
+        cov = _psd_with_spectrum(_gapped_spectrum(120, signal_dim, 2.0), seed=signal_dim)
+        got = est.subspace_split(cov, signal_dim)
+        vals, vecs = _eigh_top(cov, signal_dim)
+        assert got.converged
+        assert got.basis.shape == (120, signal_dim)
+        assert got.eigenvalues.shape == (2 * signal_dim,)
+        assert np.allclose(got.eigenvalues[:signal_dim], vals[:signal_dim], rtol=1e-12)
+        assert _projector_distance(got.basis, vecs) < 1e-10
+        gram = got.basis.conj().T @ got.basis
+        assert np.max(np.abs(gram - np.eye(signal_dim))) < 1e-12
+
+    def test_identity_is_solved_at_once(self):
+        got = est.subspace_split(np.eye(64, dtype=complex), 3)
+        assert got.converged and got.restarts == 1
+        assert np.allclose(got.eigenvalues, 1.0, atol=1e-14)
+        gram = got.basis.conj().T @ got.basis
+        assert np.max(np.abs(gram - np.eye(3))) < 1e-12
+
+    @pytest.mark.parametrize("signal_dim", [1, 2, 4, 6])
+    def test_rank_deficient_matrix(self, signal_dim):
+        # rank 4: the Krylov blocks break down into rounding noise, and
+        # a signal_dim above the rank must still span the whole range
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(90, 4)) + 1j * rng.normal(size=(90, 4))
+        cov = x @ np.diag([8.0, 4.0, 2.0, 1.0]) @ x.conj().T / 90
+        got = est.subspace_split(cov, signal_dim)
+        top = min(signal_dim, 4)
+        vals, vecs = _eigh_top(cov, top)
+        assert got.converged
+        assert np.allclose(got.eigenvalues[:top], vals[:top], rtol=1e-12)
+        assert np.all(got.eigenvalues[4:] <= 1e-12 * vals[0])
+        overlap = got.basis.conj().T @ vecs
+        assert np.allclose(np.linalg.svd(overlap, compute_uv=False), 1.0, atol=1e-10)
+        gram = got.basis.conj().T @ got.basis
+        assert np.max(np.abs(gram - np.eye(signal_dim))) < 1e-12
+
+    @pytest.mark.parametrize("signal_dim", [1, 2, 3, 4])
+    def test_ambient_at_or_below_the_block_width(self, signal_dim):
+        # 5 x 5, as the baseline's spatial covariances: the Krylov space
+        # spans the whole matrix and Rayleigh-Ritz is an exact eigensolve
+        cov = _psd_with_spectrum([5.0, 3.0, 2.0, 1.0, 0.5], seed=4)
+        got = est.subspace_split(cov, signal_dim)
+        vals, vecs = _eigh_top(cov, signal_dim)
+        assert got.converged and got.restarts == 1
+        assert np.allclose(got.eigenvalues, vals[:len(got.eigenvalues)], rtol=1e-13)
+        assert _projector_distance(got.basis, vecs) < 1e-13
+
+    def test_repeat_calls_are_bit_equal_and_ignore_the_global_state(self):
+        cov = _psd_with_spectrum(_gapped_spectrum(150, 3, 1.5), seed=5)
+        np.random.seed(0)
+        first = est.subspace_split(cov, 3)
+        np.random.seed(1)
+        np.random.random(1000)
+        second = est.subspace_split(cov, 3)
+        assert first.basis.tobytes() == second.basis.tobytes()
+        assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+        assert (first.restarts, first.residual) == (second.restarts, second.residual)
+
+    def test_noise_only_covariance(self, paper_scenario):
+        # no gap at lambda_3 / lambda_4, yet the top-3 pairs converge
+        # (19 restarts on this cube), as eigh's
+        s = replace(paper_scenario, targets=()).with_system(snr_db=0.0, scr_db=float("inf"))
+        codes, symbols = build_waveform(s)
+        cube = b.synthesize_cube(s, codes, symbols, np.random.default_rng(0))
+        cov = est.temporal_covariance(cube)
+        got = est.subspace_split(cov, 3)
+        vals, vecs = _eigh_top(cov, 3)
+        assert vals[2] / vals[3] < 1.05
+        assert got.converged and 1 < got.restarts < est._KRYLOV_MAX_RESTARTS
+        assert np.allclose(got.eigenvalues[:3], vals[:3], rtol=1e-12)
+        assert _projector_distance(got.basis, vecs) < 1e-9
+
+    def test_near_degenerate_cluster_ends_at_the_cap(self):
+        # twenty eigenvalues 1e-8 apart: the Ritz pairs cannot separate to
+        # the tolerance, so the solve stops at the cap, reports it and
+        # returns the same orthonormal basis every time
+        cov = _psd_with_spectrum(np.concatenate([1.0 - 1e-8 * np.arange(20),
+                                                 np.linspace(0.5, 0.0, 100)]), seed=6)
+        first = est.subspace_split(cov, 3)
+        second = est.subspace_split(cov, 3)
+        assert not first.converged
+        assert first.restarts == est._KRYLOV_MAX_RESTARTS
+        assert first.residual > est._KRYLOV_TOL
+        assert first.basis.tobytes() == second.basis.tobytes()
+        assert np.allclose(first.eigenvalues[:3], 1.0, atol=1e-6)
+        gram = first.basis.conj().T @ first.basis
+        assert np.max(np.abs(gram - np.eye(3))) < 1e-12
+
+    def test_stage1_delays_equal_the_eigh_basis_at_0_db(self, paper_scenario, monkeypatch):
+        # the criterion-5 sweep's 0 dB CPIs, where the solver converges
+        # slowest: stage 1 picks the (delay, coarse Doppler) pairs that the
+        # full eigendecomposition's basis picks
+        scenario = paper_scenario.with_system(snr_db=0.0, scr_db=float("inf"))
+        picks = []
+
+        def both_bases(cube, codes, k, grid, system, basis):
+            vals, vecs = _eigh_top(est.temporal_covariance(cube), k)
+            reference = est.SubspaceBasis(vecs, vals, k)
+            got, want = (est.range_doppler_search(cube, codes, k, grid, system, basis=u)
+                         for u in (basis, reference))
+            picks.append(([p[:2] for p in got], [p[:2] for p in want]))
+            return got
+
+        monkeypatch.setattr(harness, "range_doppler_search", both_bases)
+        for trial in range(8):
+            b.run_scenario(scenario, method="baseline", seed=_trial_seed(20260808, 0, trial))
+        assert len(picks) == 8
+        assert all(got == want for got, want in picks)
+
 
 class TestEstimateSignalDim:
     def test_clear_gap(self):
@@ -139,8 +292,25 @@ class TestEstimateSignalDim:
         s = paper_scenario.with_system(snr_db=40.0, scr_db=float("inf"))
         codes, symbols = build_waveform(s)
         cube = b.synthesize_cube(s, codes, symbols, np.random.default_rng(3))
-        vals = np.sort(np.linalg.eigvalsh(est.temporal_covariance(cube)))[::-1]
+        cov = est.temporal_covariance(cube)
+        vals = np.sort(np.linalg.eigvalsh(cov))[::-1]
         assert est.estimate_signal_dim(vals, max_dim=10) == 3
+        ritz = est.subspace_split(cov, 12).eigenvalues
+        assert est.estimate_signal_dim(ritz, max_dim=12) == 3
+
+    @pytest.mark.parametrize("snr_db", [0.0, 5.0, 10.0, 15.0, 20.0])
+    def test_ritz_values_pick_the_full_spectrum_order(self, paper_scenario, snr_db):
+        # the order run_scenario(estimate_k=True) takes from the Ritz values
+        # equals the one from the whole spectrum on seeded CPIs
+        for scr_db, seed in ((float("inf"), 0), (float("inf"), 1), (-5.0, 2)):
+            s = paper_scenario.with_system(snr_db=snr_db, scr_db=scr_db)
+            codes, symbols = build_waveform(s)
+            cube = b.synthesize_cube(s, codes, symbols, np.random.default_rng(seed))
+            cov = est.temporal_covariance(cube)
+            full = np.sort(np.linalg.eigvalsh(cov))[::-1]
+            ritz = est.subspace_split(cov, 12).eigenvalues
+            assert est.estimate_signal_dim(ritz, max_dim=12) == \
+                est.estimate_signal_dim(full, max_dim=12)
 
 
 class TestXi1:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import bmradar as b
-from bmradar import cli, harness
+from bmradar import cli, estimation, harness
 from bmradar.cli import main as cli_main
 from bmradar.harness import TargetEstimate, align_to_truth
 from conftest import make_tiny_scenario
@@ -69,9 +69,19 @@ class TestRunScenario:
         loaded = b.load_cube(path)
         assert loaded.samples.shape == (32, 14, 2)
 
-    def test_estimate_k_mode(self, tiny_noisy):
+    def test_estimate_k_mode(self, tiny_noisy, monkeypatch):
+        covs = []
+
+        def capture(cube):
+            covs.append(estimation.temporal_covariance(cube))
+            return covs[-1]
+
+        monkeypatch.setattr(harness, "temporal_covariance", capture)
         result = b.run_scenario(tiny_noisy, method="vst", seed=4, estimate_k=True)
         assert result.reports["vst"].k == 1
+        # the Ritz values pick the order that the whole spectrum picks
+        full = np.sort(np.linalg.eigvalsh(covs[0]))[::-1]
+        assert estimation.estimate_signal_dim(full, max_dim=12) == 1
 
     def test_baseline_failure_keeps_the_vst_report(self, paper_scenario):
         # five sources cannot be resolved by MUSIC on five Rx antennas
@@ -452,6 +462,70 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
         assert (tmp_path / "out" / "rmse.csv").exists()
+
+
+class TestStage1Diagnostics:
+    KEYS = {"ritz_values", "signal_dim", "gap", "restarts", "residual", "converged"}
+
+    def test_reports_and_run_json_carry_the_solve(self, tiny_noisy, tmp_path):
+        result = b.run_scenario(tiny_noisy, method="both", seed=1)
+        meta = result.reports["vst"].metadata["stage1"]
+        assert result.reports["baseline"].metadata["stage1"] == meta
+        assert set(meta) == self.KEYS
+        ritz = meta["ritz_values"]
+        assert len(ritz) == 2 and ritz[0] >= ritz[1] > 0
+        assert meta["gap"] == ritz[0] / ritz[1]
+        assert meta["converged"] and meta["restarts"] >= 1
+        assert meta["residual"] <= 1e-13
+        b.emit_outputs(tmp_path, run=result)
+        doc = json.loads((tmp_path / "run.json").read_text())
+        assert doc["run"]["stage1"] == meta
+
+    def test_diagnostics_stay_out_of_the_csvs(self, tiny_noisy, tmp_path):
+        result = b.run_scenario(tiny_noisy, method="both", seed=2, store_surfaces=True)
+        bare = replace(result, reports={m: replace(r, metadata={})
+                                        for m, r in result.reports.items()})
+        written = b.emit_outputs(tmp_path / "with", run=result)
+        b.emit_outputs(tmp_path / "bare", run=bare)
+        csvs = [p.name for p in written if p.suffix == ".csv"]
+        assert csvs
+        for name in csvs:
+            assert (tmp_path / "with" / name).read_bytes() == \
+                (tmp_path / "bare" / name).read_bytes()
+
+    def test_unconverged_solve_is_reported_not_raised(self, paper_scenario, monkeypatch):
+        # a noise-only CPI has no gap; with the cap cut to 2 restarts the
+        # solve stops short, and the run reports it and goes on, the same
+        # way every time
+        monkeypatch.setattr(estimation, "_KRYLOV_MAX_RESTARTS", 2)
+        scenario = replace(paper_scenario, targets=()).with_system(
+            snr_db=0.0, scr_db=float("inf"))
+        metas = [b.run_scenario(scenario, method="baseline", seed=5, k=3)
+                 .reports["baseline"].metadata["stage1"] for _ in range(2)]
+        assert metas[0] == metas[1]
+        assert metas[0]["converged"] is False and metas[0]["restarts"] == 2
+        assert metas[0]["residual"] > 1e-13
+        assert 1.0 <= metas[0]["gap"] < 1.1
+
+
+class TestNoFullEigendecomposition:
+    def test_no_fast_time_covariance_reaches_eigh(self, paper_scenario, monkeypatch):
+        # stage 1, estimate_k and the baseline's MUSIC take their subspaces
+        # from the block Krylov solver; only its small Rayleigh-Ritz
+        # matrices and the stage-2 PRI gram are ever fully decomposed
+        shapes = []
+        real_eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        b.run_scenario(paper_scenario, method="both", seed=3)
+        b.run_scenario(paper_scenario, method="both", seed=3, estimate_k=True)
+        L = paper_scenario.system.fast_time_bins
+        assert shapes  # the spy sees the package's calls
+        assert all(shape[-1] < L for shape in shapes), shapes
 
 
 class TestGridCsv:
