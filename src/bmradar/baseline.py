@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import DataCube
 from .estimation import (GridSpec, SubspaceBasis, despread_gate, greedy_peaks,
-                         linear_assignment, subspace_split)
+                         hermitian_gram, linear_assignment, subspace_split)
 from .manifold import spatial_manifold
 from .scenario import ArrayGeometry, Scenario, derive_params
 from .waveform import CodeMatrix
@@ -107,8 +107,7 @@ def dod_from_geometry(ellipse: EllipseParams, r_tx: float) -> float:
 def spatial_covariance(cube: DataCube) -> np.ndarray:
     """Rx-antenna covariance averaged over all snapshots of the CPI."""
     n_s, L, n_rx = cube.samples.shape
-    flat = cube.samples.reshape(n_s * L, n_rx)
-    return flat.T @ flat.conj() / (n_s * L)
+    return hermitian_gram(cube.samples.reshape(n_s * L, n_rx)) / (n_s * L)
 
 
 def _music_pseudo(
@@ -183,7 +182,7 @@ def gate_music_doa(
     and the +-1 degree refine are those of music_doa_spectrum.
     """
     y = despread_gate(cube, codes, delay)
-    cov = y.T @ y.conj() / y.shape[0]
+    cov = hermitian_gram(y) / y.shape[0]
     pseudo = partial(_music_pseudo, subspace_split(cov, 1), rx_geometry, wavelength_m)
     theta_grid = np.asarray(theta_grid, dtype=float)
     peak = float(theta_grid[int(np.argmax(pseudo(theta_grid)))])

@@ -288,20 +288,26 @@ def _with_gaussian(cube: DataCube, var: float | None, rng: np.random.Generator) 
     if var is None:
         return cube
     samples = cube.samples.copy()
-    _add_gaussian(samples, var, rng)
+    _add_gaussian(samples, var, rng, np.empty(samples.shape))
     return replace(cube, samples=samples)
 
 
-def _add_gaussian(samples: np.ndarray, var: float, rng: np.random.Generator) -> None:
+def _add_gaussian(
+    samples: np.ndarray, var: float, rng: np.random.Generator, buf: np.ndarray
+) -> None:
     """Add circular complex Gaussian samples of variance var in place.
 
     The real parts are drawn first, then the imaginary parts, each as one
-    draw of the array's shape: the same draws and sums as adding
-    ``a + 1j*b``, without the complex temporaries.
+    standard-normal draw of the array's shape into the float scratch
+    buffer buf, scaled by sigma in place and added.  numpy's
+    normal(0, sigma) is 0 + sigma * z, so these are the same draws and
+    sums as adding ``a + 1j*b``, without any temporaries.
     """
     sigma = math.sqrt(var / 2.0)
-    samples.real += rng.normal(0.0, sigma, samples.shape)
-    samples.imag += rng.normal(0.0, sigma, samples.shape)
+    for part in (samples.real, samples.imag):
+        rng.standard_normal(out=buf)
+        buf *= sigma
+        part += buf
 
 
 def synthesize_cube(
@@ -314,14 +320,16 @@ def synthesize_cube(
     scenario's configured levels.
 
     The echo cube is a fresh array, so clutter and then noise are added
-    into it in place, with add_clutter's and add_noise's draws.
+    into it in place, with add_clutter's and add_noise's draws; all four
+    real draws share one float buffer.
     """
     states = draw_target_states(scenario, rng)
     cube = synthesize_targets(scenario, codes, symbols, states)
     clutter = _clutter_variance(cube, scenario.system.scr_db) if scenario.targets else None
+    buf = np.empty(cube.samples.shape)
     for var in (clutter, _noise_variance(cube, scenario.system.snr_db)):
         if var is not None:
-            _add_gaussian(cube.samples, var, rng)
+            _add_gaussian(cube.samples, var, rng, buf)
     return cube
 
 

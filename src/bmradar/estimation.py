@@ -47,8 +47,20 @@ gram, which the matrix-free VirtualSnapshots view builds from the cube
 then the basis X v / sqrt(lambda) over its top signal_dim eigenpairs, so
 only signal_dim snapshot combinations are ever formed.  Because every
 entry of a steering vector has unit modulus, the numerator is
-angle-independent and the denominator is an O(rx * tx * signal_dim)
-contraction of precomputed per-antenna terms.
+angle-independent and the denominator is the numerator minus the signal
+power sum_p |sum_m half[p, m, a] conj(s_tx[m, b])|^2, where half holds
+the precomputed per-antenna terms contracted with the Rx steering vector
+of DOA a.  That power is the Hermitian form
+
+    sum_mn H[a, m, n] conj(s_tx[m, b]) s_tx[n, b],   H[a] = sum_p half half^H,
+
+an n_bar x n_bar matrix per DOA, so each context's whole (DOA, DOD) grid
+is one real GEMM of H (real and imaginary parts interleaved) against the
+Tx pair products, with no (signal_dim, DOA, DOD) coefficient array.
+
+The Hermitian covariances (the fast-time one here, the spatial ones of
+the baseline) come from hermitian_gram: one real syrk of the snapshots'
+float view, exactly Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -70,6 +82,7 @@ __all__ = [
     "SubspaceBasis",
     "GridSpec",
     "default_grid",
+    "hermitian_gram",
     "temporal_covariance",
     "subspace_split",
     "estimate_signal_dim",
@@ -175,16 +188,36 @@ def default_grid(scenario: Scenario, spec: GridSpec | None = None) -> GridSpec:
     )
 
 
+def hermitian_gram(x: np.ndarray) -> np.ndarray:
+    """x.T @ x.conj() of a complex (count, n) matrix, exactly Hermitian.
+
+    The gram comes from one real product v.T @ v of the float view
+    v = x.view(float), which numpy hands to BLAS syrk: half the flops
+    of a complex gemm, with the upper triangle mirrored.  Entry (i, j)
+    has real part g[2i, 2j] + g[2i+1, 2j+1] and imaginary part
+    g[2i+1, 2j] - g[2i, 2j+1], so C == C^H holds bit for bit and the
+    diagonal is real.
+    """
+    v = np.ascontiguousarray(x, dtype=complex).view(float)
+    g = v.T @ v
+    gram = np.empty((x.shape[1], x.shape[1]), dtype=complex)
+    np.add(g[0::2, 0::2], g[1::2, 1::2], out=gram.real)
+    np.subtract(g[1::2, 0::2], g[0::2, 1::2], out=gram.imag)
+    return gram
+
+
 def temporal_covariance(cube: DataCube) -> np.ndarray:
     """Fast-time covariance, averaged over PRIs and Rx antennas.
 
     Each antenna's fast-time vector within a PRI is one snapshot; the
     result is an L x L Hermitian PSD matrix whose signal subspace is
-    spanned by the targets' delayed-Doppler code signatures.
+    spanned by the targets' delayed-Doppler code signatures.  The
+    (PRI x Rx) x L snapshot rows go through hermitian_gram, one real
+    syrk of the 2L interleaved real and imaginary columns.
     """
     n_s, L, n_rx = cube.samples.shape
     rows = cube.samples.transpose(0, 2, 1).reshape(n_s * n_rx, L)
-    return rows.T @ rows.conj() / (n_rx * n_s)
+    return hermitian_gram(rows) / (n_rx * n_s)
 
 
 def subspace_split(cov: np.ndarray, signal_dim: int) -> SubspaceBasis:
@@ -321,6 +354,7 @@ def xi1_surface(
     doppler_hz = np.asarray(doppler_hz, dtype=float)
     p_dim = basis.basis.shape[1]
     upper_p, upper_q = np.triu_indices(p_dim)
+    row_start = np.flatnonzero(upper_p == upper_q)
     # whitened chips: white @ white.T = chips A^-1 chips^T, A = chips^T chips
     chol = np.linalg.cholesky(codes.chips.T @ codes.chips)
     white = np.linalg.solve(chol, codes.chips.T).T  # (nc, n_bar)
@@ -339,19 +373,22 @@ def xi1_surface(
         # (q, r, upper-triangle pair, delay), then sum each diagonal q - r = lag
         pairs = np.ascontiguousarray(gram.transpose(1, 3, 2, 4, 0)[:, :, upper_p, upper_q])
         lagged = (lag_sum @ pairs.reshape(nc * nc, -1).view(float)).view(complex)
-        m_upper = (lagged.T @ phases).reshape(len(upper_p), n_b, len(doppler_hz))
+        # I - M on the packed upper triangle: row i's slots i..P-1 are
+        # row_start[i] onward, and slot row_start[i] is its diagonal
+        den = (lagged.T @ phases).reshape(len(upper_p), n_b, len(doppler_hz))
+        np.negative(den, out=den)
+        den[row_start] += 1.0
         # I - M is Hermitian PSD (M compresses a projector): eliminate on the
         # upper triangle without pivoting; det is the product of the pivots
-        den = np.zeros((p_dim, p_dim, n_b, len(doppler_hz)), dtype=complex)
-        den[upper_p, upper_q] = -m_upper
-        den[np.arange(p_dim), np.arange(p_dim)] += 1.0
         det = np.ones((n_b, len(doppler_hz)))
         with np.errstate(divide="ignore", invalid="ignore"):
             for k in range(p_dim):
-                pivot = den[k, k].real
+                row_k = den[row_start[k]:row_start[k] + p_dim - k]
+                pivot = row_k[0].real
                 det *= pivot
                 for i in range(k + 1, p_dim):
-                    den[i, i:] -= (den[k, i].conj() / pivot) * den[k, i:]
+                    den[row_start[i]:row_start[i] + p_dim - i] -= (
+                        (row_k[i - k].conj() / pivot) * row_k[i - k:])
             surface[start:start + n_b] = np.where(
                 det > 0.0, 1.0 / np.maximum(det, 1e-300), np.inf
             )
@@ -591,6 +628,31 @@ def prepare_xi2_context(
     )
 
 
+def _tx_pairs(s_tx: np.ndarray) -> np.ndarray:
+    """Real (2 n_bar^2, len(theta_bar)) form of the Tx pair products.
+
+    Row pair (2k, 2k+1) for k = (m, n) holds the real part and the
+    negated imaginary part of conj(s_tx[m]) s_tx[n], so a float view of
+    a complex n_bar x n_bar matrix H times it is sum_mn Re(H_mn T_mn).
+    """
+    by_dod = np.ascontiguousarray(s_tx.T)
+    pairs = by_dod[:, :, None] * by_dod[:, None, :].conj()
+    return pairs.reshape(len(pairs), -1).view(float).T
+
+
+def _signal_power(basis_phi: np.ndarray, s_rx: np.ndarray, tx_pairs: np.ndarray) -> np.ndarray:
+    """One context's sum_p |coeff_p|^2 over (theta, theta_bar) as a Hermitian form.
+
+    half[a, p, m] = sum_i basis_phi[p, m, i] s_rx[i, a]; with the
+    per-DOA H[a] = sum_p half[a, p]^T conj(half[a, p]) (n_bar x n_bar),
+    the signal power at (a, b) is sum_mn H[a, m, n] conj(s_tx[m, b])
+    s_tx[n, b], one real GEMM of H against the Tx pair matrix.
+    """
+    half = np.einsum("pmi,ia->apm", basis_phi, s_rx)
+    herm = half.transpose(0, 2, 1) @ half.conj()
+    return herm.reshape(len(herm), -1).view(float) @ tx_pairs
+
+
 def xi2_surface(
     context: Xi2Context,
     theta_deg: np.ndarray,
@@ -609,12 +671,11 @@ def xi2_surface(
     scen = context.scenario
     s_rx = spatial_manifold(scen.rx_array, theta_deg, 0.0, context.wavelength_m, "rx")
     s_tx = spatial_manifold(scen.tx_array, theta_bar_deg, 0.0, context.wavelength_m, "tx")
+    tx_pairs = _tx_pairs(s_tx)
     indices = range(len(context.estimates)) if context_index is None else [context_index]
     out = np.empty((len(indices), len(theta_deg), len(theta_bar_deg)), dtype=float)
     for row, ki in enumerate(indices):
-        half = np.einsum("pmi,ia->pma", context.basis_phi[ki], s_rx, optimize=True)
-        coeff = np.einsum("pma,mb->pab", half, s_tx.conj(), optimize=True)
-        sig_power = np.sum(np.abs(coeff) ** 2, axis=0)
+        sig_power = _signal_power(context.basis_phi[ki], s_rx, tx_pairs)
         num = context.numerators[ki]
         den = num - sig_power
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -634,8 +695,9 @@ def doa_dod_search(
     context: Xi2Context,
     k: int,
     grid: GridSpec,
-) -> list[tuple[float, float, float, int]]:
-    """Stage-2 search: k (DOA, DOD, peak value, context index) tuples.
+) -> tuple[list[tuple[float, float, float, int]], np.ndarray]:
+    """Stage-2 search: k (DOA, DOD, peak value, context index) tuples,
+    and the coarse per-context stack they were picked from.
 
     Each stage-1 target context carries its own delayed-Doppler signature,
     so its cost term peaks at that target's direction pair; the search
@@ -643,7 +705,9 @@ def doa_dod_search(
     a local fine grid.  (The summed surface is unreliable here: secondary
     maxima of a strong target can outgrow a weak target's main peak.)
     Peak-to-target association is therefore intrinsic.  If k differs from
-    the context count, the k largest context peaks are returned.
+    the context count, the k largest context peaks are returned.  The
+    stack is the (K, len(theta), len(theta_bar)) xi2_surface it scored on
+    the coarse grid; its sum over axis 0 is the summed surface.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -673,4 +737,4 @@ def doa_dod_search(
     if k != len(results):
         results = sorted(results, key=lambda r: -r[2])[:k]
         results.sort(key=lambda r: r[3])
-    return results
+    return results, stack

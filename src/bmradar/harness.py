@@ -36,7 +36,6 @@ from .estimation import (
     subspace_split,
     temporal_covariance,
     xi1_surface,
-    xi2_surface,
 )
 from .extender import VirtualSnapshots, build_blockers
 from .scenario import Scenario, scenario_to_dict
@@ -174,10 +173,10 @@ def run_scenario(
         surf1 = xi1_surface(codes, basis, system, grid.range_bins, grid.doppler_hz)
         xi1_grid = (grid.range_bins, grid.doppler_hz, surf1)
 
-    context = None
+    coarse = None
 
     def vst_entries() -> list[TargetEstimate]:
-        nonlocal context
+        nonlocal coarse
         blockers = build_blockers(codes, refined, system)
         context = prepare_xi2_context(
             VirtualSnapshots(cube.samples, blockers), blockers, refined, codes,
@@ -189,8 +188,11 @@ def run_scenario(
         blind = " and ".join(a for a, keep in (("DOA", keep_doa), ("DOD", keep_dod))
                              if not keep)
         error = f"{blind} not observable with a one-element array" if blind else None
+        peaks, stack = doa_dod_search(context, k_eff, grid)
+        if store_surfaces:
+            coarse = stack
         by_context = {ctx: (th if keep_doa else None, tb if keep_dod else None, val, error)
-                      for th, tb, val, ctx in doa_dod_search(context, k_eff, grid)}
+                      for th, tb, val, ctx in peaks}
         return [
             TargetEstimate(d, f_hat, *by_context[idx]) if idx in by_context
             else TargetEstimate(d, f_hat, None, None, error="no direction peak assigned")
@@ -218,9 +220,9 @@ def run_scenario(
         reports[m] = EstimateReport(
             m, entries, k_eff, stage1_elapsed + time.perf_counter() - t1, metadata)
 
-    if store_surfaces and context is not None:
-        surf2 = xi2_surface(context, grid.theta_deg, grid.theta_bar_deg)
-        xi2_grid = (grid.theta_deg, grid.theta_bar_deg, surf2)
+    if coarse is not None:
+        # the summed surface from the per-context stack the search scored
+        xi2_grid = (grid.theta_deg, grid.theta_bar_deg, np.sum(coarse, axis=0))
     return RunResult(scenario, int(seed), cube.truth, reports, code_kind,
                      xi1_grid, xi2_grid)
 

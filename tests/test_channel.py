@@ -360,6 +360,43 @@ class TestSynthesisMatchesWholeCubeFormula:
         assert cube.samples.tobytes() == before.tobytes()
 
 
+class TestAddGaussianDrawsIntoOneBuffer:
+    """_add_gaussian draws standard normals into a float buffer and scales
+    them in place: the bytes and the generator's next draw are those of
+    adding rng.normal(0, sigma, shape) to the real, then the imaginary part."""
+
+    @staticmethod
+    def _reference(samples, var, rng):
+        sigma = math.sqrt(var / 2.0)
+        samples.real += rng.normal(0.0, sigma, samples.shape)
+        samples.imag += rng.normal(0.0, sigma, samples.shape)
+
+    @pytest.mark.parametrize("case", ["paper", "tiny"])
+    @pytest.mark.parametrize("shared_buffer", [False, True])
+    def test_bytes_and_next_draw_equal_normal(self, paper_scenario, case, shared_buffer):
+        scenario = paper_scenario if case == "paper" else make_tiny_scenario()
+        cube, *_ = clean_cube(scenario)
+        got, want = cube.samples.copy(), cube.samples.copy()
+        rngs = np.random.default_rng(41), np.random.default_rng(41)
+        shared = np.empty(got.shape)
+        # a clutter-like then a noise-like level, as synthesize_cube draws them
+        for var in (cube.echo_energy_per_sample * 10 ** 0.5, cube.echo_power * 1e-2):
+            buf = shared if shared_buffer else np.empty(got.shape)
+            channel._add_gaussian(got, var, rngs[0], buf)
+            self._reference(want, var, rngs[1])
+        assert got.tobytes() == want.tobytes()
+        assert rngs[0].random() == rngs[1].random()
+
+    def test_buffer_is_scratch_only(self):
+        samples = np.zeros((3, 4, 2), dtype=complex)
+        buf = np.full(samples.shape, 7.0)
+        rngs = np.random.default_rng(42), np.random.default_rng(42)
+        channel._add_gaussian(samples, 2.0, rngs[0], buf)
+        want = rngs[1].standard_normal((2,) + samples.shape)
+        assert samples.real.tobytes() == want[0].tobytes()
+        assert samples.imag.tobytes() == want[1].tobytes()
+
+
 class TestCubeIO:
     def test_round_trip(self, tiny_scenario, tmp_path):
         cube, *_ = clean_cube(tiny_scenario)

@@ -76,6 +76,51 @@ class TestTemporalCovariance:
         assert np.trace(cov).real == pytest.approx(mean_power * 524, rel=1e-9)
 
 
+def _complex_normal(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestHermitianGram:
+    """hermitian_gram, one real syrk, against the complex product it replaces,
+    at the shapes of its call sites: the fast-time snapshot rows, the
+    whole-cube and the despread-gate spatial snapshots."""
+
+    SHAPES = [(1280, 524), (134080, 5), (256, 5), (300, 1)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_the_complex_product(self, shape):
+        x = _complex_normal(shape, sum(shape))
+        want = x.T @ x.conj()
+        got = est.hermitian_gram(x)
+        assert got.shape == want.shape and got.dtype == complex
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_exactly_hermitian_with_a_real_diagonal(self, shape):
+        c = est.hermitian_gram(_complex_normal(shape, sum(shape) + 1))
+        assert np.array_equal(c, c.conj().T)
+        assert np.all(c.diagonal().imag == 0.0)
+
+    def test_non_contiguous_input_equals_its_contiguous_copy(self):
+        wide = _complex_normal((256, 10), 3)
+        for view in (wide[:, ::2], wide[::2], _complex_normal((5, 256), 4).T):
+            assert not view.flags.c_contiguous
+            got = est.hermitian_gram(view)
+            assert got.tobytes() == est.hermitian_gram(np.ascontiguousarray(view)).tobytes()
+
+    def test_covariances_use_it(self, paper_scenario):
+        codes, symbols = build_waveform(paper_scenario)
+        cube = b.synthesize_cube(paper_scenario, codes, symbols, np.random.default_rng(2))
+        n_s, L, n_rx = cube.samples.shape
+        rows = cube.samples.transpose(0, 2, 1).reshape(n_s * n_rx, L)
+        assert est.temporal_covariance(cube).tobytes() == \
+            (est.hermitian_gram(rows) / (n_s * n_rx)).tobytes()
+        flat = cube.samples.reshape(n_s * L, n_rx)
+        assert b.baseline.spatial_covariance(cube).tobytes() == \
+            (est.hermitian_gram(flat) / (n_s * L)).tobytes()
+
+
 def _psd_with_spectrum(vals, seed=0):
     """Hermitian PSD matrix with eigenvalues vals in a seeded random basis."""
     rng = np.random.default_rng(seed)
@@ -407,6 +452,67 @@ class TestXi1:
                 assert direct == pytest.approx(num / den, rel=1e-9)
 
 
+def _xi1_surface_den_matrix(codes, basis, system, range_bins, doppler_hz):
+    """xi1_surface with the elimination on a zeroed (P, P, delay, Doppler)
+    matrix written through fancy indexing, as it was before the packed
+    upper triangle: the reference for the bit-for-bit check."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    nc = codes.code_length
+    range_bins = np.asarray(range_bins, dtype=int)
+    doppler_hz = np.asarray(doppler_hz, dtype=float)
+    p_dim = basis.basis.shape[1]
+    upper_p, upper_q = np.triu_indices(p_dim)
+    chol = np.linalg.cholesky(codes.chips.T @ codes.chips)
+    white = np.linalg.solve(chol, codes.chips.T).T
+    lags = np.arange(1 - nc, nc)
+    q, r = np.indices((nc, nc))
+    lag_sum = (q - r == lags[:, None, None]).reshape(len(lags), nc * nc).astype(float)
+    phases = np.exp(2j * np.pi * system.chip_period_s * np.outer(lags, doppler_hz))
+    windows = sliding_window_view(basis.basis.conj(), nc, axis=0)
+    surface = np.empty((len(range_bins), len(doppler_hz)), dtype=float)
+    for start in range(0, len(range_bins), est._XI1_DELAY_BLOCK):
+        block = range_bins[start:start + est._XI1_DELAY_BLOCK]
+        n_b = len(block)
+        x = windows[block].transpose(0, 2, 1)[..., None] * white[:, None, :]
+        x = x.reshape(n_b, nc * p_dim, codes.tx_count)
+        gram = (x @ x.conj().transpose(0, 2, 1)).reshape(n_b, nc, p_dim, nc, p_dim)
+        pairs = np.ascontiguousarray(gram.transpose(1, 3, 2, 4, 0)[:, :, upper_p, upper_q])
+        lagged = (lag_sum @ pairs.reshape(nc * nc, -1).view(float)).view(complex)
+        m_upper = (lagged.T @ phases).reshape(len(upper_p), n_b, len(doppler_hz))
+        den = np.zeros((p_dim, p_dim, n_b, len(doppler_hz)), dtype=complex)
+        den[upper_p, upper_q] = -m_upper
+        den[np.arange(p_dim), np.arange(p_dim)] += 1.0
+        det = np.ones((n_b, len(doppler_hz)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k in range(p_dim):
+                pivot = den[k, k].real
+                det *= pivot
+                for i in range(k + 1, p_dim):
+                    den[i, i:] -= (den[k, i].conj() / pivot) * den[k, i:]
+            surface[start:start + n_b] = np.where(
+                det > 0.0, 1.0 / np.maximum(det, 1e-300), np.inf
+            )
+    return surface
+
+
+class TestXi1PackedElimination:
+    @pytest.mark.parametrize("signal_dim", [1, 3, 6])
+    def test_bit_equal_to_the_den_matrix_elimination(self, paper_scenario, signal_dim):
+        system = paper_scenario.system
+        codes, symbols = build_waveform(paper_scenario)
+        cube = b.synthesize_cube(paper_scenario, codes, symbols, np.random.default_rng(9))
+        basis = est.subspace_split(est.temporal_covariance(cube), signal_dim)
+        grid = est.default_grid(paper_scenario)
+        # more than one delay block, a partial last block and both edges
+        delays = np.concatenate([grid.range_bins[:70], grid.range_bins[140:160],
+                                 grid.range_bins[-5:]])
+        dopplers = grid.doppler_hz[::4]
+        got = est.xi1_surface(codes, basis, system, delays, dopplers)
+        want = _xi1_surface_den_matrix(codes, basis, system, delays, dopplers)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestRangeDopplerSearch:
     def test_noiseless_argmax_at_exact_node(self, paper_scenario):
         cube, codes, _, _, s = noiseless_single_target(paper_scenario)
@@ -647,6 +753,55 @@ class TestXi2:
             assert direct == pytest.approx(num / den, rel=1e-9)
 
 
+def _explicit_signal_power(basis_phi, s_rx, s_tx):
+    """sum_p |sum_m half[p, m] conj(s_tx[m])|^2 with every coefficient formed."""
+    half = np.einsum("pmi,ia->pma", basis_phi, s_rx)
+    coeff = np.einsum("pma,mb->pab", half, s_tx.conj())
+    return np.sum(np.abs(coeff) ** 2, axis=0)
+
+
+class TestXi2HermitianForm:
+    """The signal power of each context as one real GEMM of the per-DOA
+    Hermitian H against the Tx pair matrix equals the explicit sum over the
+    basis columns of |coeff|^2."""
+
+    @pytest.mark.parametrize("which", ["paper", "tiny"])
+    def test_equals_the_explicit_sum(self, which, paper_scenario):
+        s = paper_scenario if which == "paper" else make_tiny_scenario(snr_db=20.0)
+        codes, symbols = build_waveform(s)
+        cube = b.synthesize_cube(s, codes, symbols, np.random.default_rng(26))
+        estimates = [(t.delay_bins, t.doppler_hz) for t in cube.truth]
+        blockers = b.build_blockers(codes, estimates, s.system)
+        ctx = b.prepare_xi2_context(b.VirtualSnapshots(cube.samples, blockers), blockers,
+                                    estimates, codes, s)
+        theta = np.arange(0.0, 180.0 + 1e-9, 0.5)
+        theta_bar = np.arange(20.0, 160.0, 0.37)
+        s_rx = b.spatial_manifold(s.rx_array, theta, 0.0, ctx.wavelength_m, "rx")
+        s_tx = b.spatial_manifold(s.tx_array, theta_bar, 0.0, ctx.wavelength_m, "tx")
+        pairs = est._tx_pairs(s_tx)
+        for ki in range(len(estimates)):
+            got = est._signal_power(ctx.basis_phi[ki], s_rx, pairs)
+            want = _explicit_signal_power(ctx.basis_phi[ki], s_rx, s_tx)
+            assert got.shape == (len(theta), len(theta_bar))
+            assert np.abs(got - want).max() <= 1e-12 * want.max()
+            # sig_power never exceeds the numerator beyond rounding
+            assert got.max() <= ctx.numerators[ki] * (1 + 1e-12)
+
+    def test_search_returns_the_coarse_stack_it_scored(self, paper_scenario):
+        codes, symbols = build_waveform(paper_scenario)
+        cube = b.synthesize_cube(paper_scenario, codes, symbols, np.random.default_rng(27))
+        estimates = [(t.delay_bins, t.doppler_hz) for t in cube.truth]
+        blockers = b.build_blockers(codes, estimates, paper_scenario.system)
+        ctx = b.prepare_xi2_context(b.VirtualSnapshots(cube.samples, blockers), blockers,
+                                    estimates, codes, paper_scenario)
+        grid = est.default_grid(paper_scenario)
+        _, stack = b.doa_dod_search(ctx, 3, grid)
+        want = b.xi2_surface(ctx, grid.theta_deg, grid.theta_bar_deg, per_context=True)
+        assert stack.tobytes() == want.tobytes()
+        summed = b.xi2_surface(ctx, grid.theta_deg, grid.theta_bar_deg)
+        assert np.sum(stack, axis=0).tobytes() == summed.tobytes()
+
+
 class MaterialisedSnapshots:
     """The parent's reference route: the gram and combinations taken from
     the materialised virtual-snapshot matrix."""
@@ -752,7 +907,7 @@ class TestDoaDodSearch:
         ctx = b.prepare_xi2_context(virtual, blockers,
                                     [(t.delay_bins, t.doppler_hz)], codes, s)
         grid = est.default_grid(s)
-        results = b.doa_dod_search(ctx, 1, grid)
+        results, _ = b.doa_dod_search(ctx, 1, grid)
         th, tb, _, ctx_idx = results[0]
         assert ctx_idx == 0
         assert abs(th - t.doa_deg) <= grid.angle_refine_step_deg + 1e-9
@@ -772,7 +927,7 @@ class TestDoaDodSearch:
             theta_bar_deg=np.arange(70.0, 78.1, 0.5),
             angle_refine_halfwidth_deg=0.0,
         )
-        results = b.doa_dod_search(ctx, 1, grid)
+        results, _ = b.doa_dod_search(ctx, 1, grid)
         th, tb, _, _ = results[0]
         assert th == pytest.approx(148.0)  # truth 150 is off-grid
         assert tb == pytest.approx(78.0)   # truth 81.2 is off-grid

@@ -63,6 +63,22 @@ class TestRunScenario:
         th, tb, surf2 = result.xi2_grid
         assert surf2.shape == (len(th), len(tb))
 
+    def test_xi2_grid_sums_the_stack_the_search_scored(self, tiny_noisy, monkeypatch):
+        scored = []
+        xi2_surface = estimation.xi2_surface
+
+        def spy(context, theta, theta_bar, per_context=False, context_index=None):
+            out = xi2_surface(context, theta, theta_bar, per_context, context_index)
+            if context_index is None:
+                scored.append((per_context, out))
+            return out
+
+        monkeypatch.setattr(estimation, "xi2_surface", spy)
+        result = b.run_scenario(tiny_noisy, method="vst", seed=0, store_surfaces=True)
+        # one coarse scoring, the search's per-context stack
+        assert [per_context for per_context, _ in scored] == [True]
+        assert result.xi2_grid[2].tobytes() == np.sum(scored[0][1], axis=0).tobytes()
+
     def test_dump_cube_flag(self, tiny_noisy, tmp_path):
         path = tmp_path / "cube.bin"
         b.run_scenario(tiny_noisy, method="vst", seed=0, dump_cube_path=path)
