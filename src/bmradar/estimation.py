@@ -41,11 +41,13 @@ demodulate the known symbols, take a zero-padded periodogram across PRIs,
 and interpolate the peak.
 
 Stage 2 scans (DOA, DOD) with a MUSIC-style ratio over the virtual
-spatiotemporal snapshots.  Their signal basis comes from the PRI x PRI
-gram, which the matrix-free VirtualSnapshots view builds from the cube
-(see the extender module): one Hermitian eigendecomposition of the gram,
-then the basis X v / sqrt(lambda) over its top signal_dim eigenpairs, so
-only signal_dim snapshot combinations are ever formed.  Because every
+spatiotemporal snapshots X.  Their signal basis comes from the PRI x PRI
+gram X^H X, which the matrix-free VirtualSnapshots view builds from the
+cube (see the extender module): subspace_split takes its top signal_dim
+Ritz vectors V, and the basis is the QR factor of X V, so only signal_dim
+snapshot combinations are ever formed.  (X V / sqrt(theta) would be
+orthonormal only for exact eigenvectors; the QR makes it so at rounding
+level.)  Because every
 entry of a steering vector has unit modulus, the numerator is
 angle-independent and the denominator is the numerator minus the signal
 power sum_p |sum_m half[p, m, a] conj(s_tx[m, b])|^2, where half holds
@@ -66,8 +68,7 @@ float view, exactly Hermitian by construction.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -125,11 +126,14 @@ class PeakError(RuntimeError):
 class SubspaceBasis:
     """Orthonormal signal-subspace basis plus the head of its spectrum.
 
-    From subspace_split, eigenvalues holds the top-b Ritz values (b =
+    eigenvalues holds the top-b Ritz values of subspace_split (b =
     min(ambient, 2 * signal_dim)), not the whole spectrum, and the last
     three fields describe the solver's run: restarts taken, the largest
     top-signal_dim residual ||C v - theta v|| relative to theta_1, and
-    whether that residual met the tolerance.
+    whether that residual met the tolerance.  The stage-2 basis of
+    prepare_xi2_context carries the solve on the PRI gram, its Ritz
+    values divided by the PRI count: the head of the spectrum of
+    (1/count) X X^H.
     """
 
     basis: np.ndarray        # ambient x signal_dim, orthonormal columns
@@ -230,11 +234,12 @@ def subspace_split(cov: np.ndarray, signal_dim: int) -> SubspaceBasis:
     _KRYLOV_MAX_RESTARTS restarts, and reports which.  The eigenvalues
     are the b Ritz values, descending and clipped at zero.  The start
     block comes from a fixed seed, so the result is a pure function of
-    cov.  Snapshot sets go through _gram_subspace instead.
+    cov.  signal_dim may equal the ambient dimension: the first
+    Rayleigh-Ritz step is then an exact eigensolve.
     """
     ambient = cov.shape[0]
-    if not 0 < signal_dim < ambient:
-        raise ValueError(f"signal_dim must be in (0, {ambient})")
+    if not 0 < signal_dim <= ambient:
+        raise ValueError(f"signal_dim must be in (0, {ambient}]")
     width = min(ambient, 2 * signal_dim)
     rng = np.random.default_rng(_KRYLOV_SEED)
     block = np.linalg.qr(rng.standard_normal((ambient, width))
@@ -266,34 +271,6 @@ def subspace_split(cov: np.ndarray, signal_dim: int) -> SubspaceBasis:
         block, c_block = ritz, c_ritz
     return SubspaceBasis(ritz[:, :signal_dim], np.maximum(theta, 0.0), signal_dim,
                          restart, residual, converged)
-
-
-def _gram_subspace(
-    gram: np.ndarray,
-    combine: Callable[[np.ndarray], np.ndarray],
-    shape: tuple[int, int],
-    signal_dim: int,
-) -> SubspaceBasis:
-    """Top left singular subspace of snapshots X given only their gram.
-
-    gram is X^H X (count x count) and combine(c) returns X c; shape is
-    (ambient, count).  The basis is X v / sqrt(lambda) over the top
-    eigenpairs of the gram, and the reported eigenvalues are those of
-    (1/count) * X X^H.
-    """
-    ambient, count = shape
-    if not 0 < signal_dim < ambient:
-        raise ValueError(f"signal_dim must be in (0, {ambient})")
-    if signal_dim > count:
-        raise ValueError("signal_dim exceeds the number of snapshots")
-    vals, vecs = np.linalg.eigh(gram)
-    order = np.argsort(vals)[::-1]
-    vals = np.maximum(vals[order].real, 0.0)
-    top = vals[:signal_dim]
-    if np.any(top <= 0):
-        raise ValueError("snapshot matrix rank is below signal_dim")
-    basis = combine(vecs[:, order[:signal_dim]] / np.sqrt(top))
-    return SubspaceBasis(basis, vals / count, signal_dim)
 
 
 def estimate_signal_dim(eigenvalues: np.ndarray, max_dim: int | None = None) -> int:
@@ -501,6 +478,8 @@ def range_doppler_search(
         raise ValueError("k must be >= 1")
     if basis is None:
         cov = temporal_covariance(cube)
+        if k >= len(cov):  # a basis of all of C^L leaves no noise subspace
+            raise ValueError(f"signal_dim must be in (0, {len(cov)})")
         basis = subspace_split(cov, k)
     surface = xi1_surface(codes, basis, system, grid.range_bins, grid.doppler_hz)
     cols = surface.argmax(axis=1)
@@ -583,7 +562,6 @@ class Xi2Context:
     """
 
     scenario: Scenario
-    blockers: BlockerSet
     estimates: tuple[tuple[int, float], ...]
     basis: SubspaceBasis
     numerators: np.ndarray          # (K,) angle-independent ||P h||^2
@@ -599,12 +577,25 @@ def prepare_xi2_context(
     scenario: Scenario,
     signal_dim: int | None = None,
 ) -> Xi2Context:
-    """Signal basis of the virtual snapshots plus per-context caches."""
+    """Signal basis of the virtual snapshots plus per-context caches.
+
+    The basis is the QR factor of X V, V the top signal_dim Ritz vectors
+    of the PRI gram X^H X from subspace_split (module docstring).
+    """
     system = scenario.system
     derived = derive_params(scenario)
     k = len(estimates)
     dim = signal_dim or k
-    basis = _gram_subspace(virtual.gram(), virtual.combine, virtual.shape, dim)
+    ambient, count = virtual.shape
+    if not 0 < dim < ambient:
+        raise ValueError(f"signal_dim must be in (0, {ambient})")
+    if dim > count:
+        raise ValueError("signal_dim exceeds the number of snapshots")
+    head = subspace_split(virtual.gram(), dim)
+    if head.eigenvalues[dim - 1] <= 0:
+        raise ValueError("snapshot matrix rank is below signal_dim")
+    basis = replace(head, basis=np.linalg.qr(virtual.combine(head.basis))[0],
+                    eigenvalues=head.eigenvalues / count)
     n_bar, n_rx, L = virtual.tx_count, virtual.rx_count, virtual.fast_time_bins
 
     phi = np.empty((k, n_bar, L), dtype=complex)
@@ -619,7 +610,6 @@ def prepare_xi2_context(
     basis_phi = np.einsum("milp,kml->kpmi", u4.conj(), phi, optimize=True)
     return Xi2Context(
         scenario=scenario,
-        blockers=blockers,
         estimates=tuple((int(d), float(f)) for d, f in estimates),
         basis=basis,
         numerators=numerators,

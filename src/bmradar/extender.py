@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DataCube
-from .manifold import doppler_phase_vector
+from .manifold import transformation_matrix
 from .scenario import SystemConfig
 from .waveform import CodeMatrix
 
@@ -173,33 +173,19 @@ def build_blockers(
     """Blocking matrices from stage-1 (delay, Doppler) estimates.
 
     For antenna m the blocker stacks, for every estimated target, the
-    delayed codes of all other antennas with that target's Doppler phase.
+    columns of all other antennas of its transformation matrix: their
+    delayed codes with that target's Doppler phase.
     """
     if not estimates:
         raise ValueError("estimates must be non-empty")
-    nc = codes.code_length
-    L = system.fast_time_bins
-    n_bar = codes.tx_count
-    for d, _ in estimates:
-        if d < 0 or d + nc > L:
-            raise ValueError(f"estimated delay {d} outside the valid range")
-
-    phases = {f: doppler_phase_vector(f, system) for _, f in estimates}
-    blockers = []
-    bases = []
-    for m in range(n_bar):
-        others = [mm for mm in range(n_bar) if mm != m]
-        blocks = []
-        for d, f in estimates:
-            shifted = np.zeros((L, len(others)), dtype=complex)
-            shifted[d:d + nc, :] = codes.chips[:, others]
-            blocks.append(shifted * phases[f][:, None])
-        b_m = np.concatenate(blocks, axis=1) if blocks else np.zeros((L, 0), complex)
+    # raises on an out-of-range delay before any SVD
+    signatures = [transformation_matrix(codes, d, f, system) for d, f in estimates]
+    blockers, bases = [], []
+    for m in range(codes.tx_count):
+        others = [mm for mm in range(codes.tx_count) if mm != m]
+        b_m = np.concatenate([t[:, others] for t in signatures], axis=1)
         blockers.append(b_m)
-        if b_m.shape[1] == 0:
-            bases.append(np.zeros((L, 0), dtype=complex))
-        else:
-            bases.append(_orthonormal_basis(b_m))
+        bases.append(_orthonormal_basis(b_m))
     return BlockerSet(
         blockers=tuple(blockers),
         bases=tuple(bases),

@@ -159,8 +159,10 @@ def run_scenario(
         basis = dc_replace(head, basis=head.basis[:, :k_eff], signal_dim=k_eff)
     else:
         k_eff = k if k is not None else scenario.target_count
+        if not 0 < k_eff < len(cov):  # a basis of all of C^L leaves no noise subspace
+            raise ValueError(f"signal_dim must be in (0, {len(cov)})")
         basis = subspace_split(cov, k_eff)
-    stage1_meta = _stage1_diagnostics(basis)
+    stage1_meta = _subspace_diagnostics(basis)
 
     stage1 = range_doppler_search(cube, codes, k_eff, grid, system, basis=basis)
     refined = [
@@ -175,13 +177,14 @@ def run_scenario(
 
     coarse = None
 
-    def vst_entries() -> list[TargetEstimate]:
+    def vst_entries(metadata: dict) -> list[TargetEstimate]:
         nonlocal coarse
         blockers = build_blockers(codes, refined, system)
         context = prepare_xi2_context(
             VirtualSnapshots(cube.samples, blockers), blockers, refined, codes,
             scenario, signal_dim=k_eff,
         )
+        metadata["stage2"] = _subspace_diagnostics(context.basis)
         # xi2 is flat along the angle of a one-element array, whose search
         # returns the first grid node: that angle is reported missing
         keep_doa, keep_dod = system.rx_count > 1, system.tx_count > 1
@@ -199,7 +202,7 @@ def run_scenario(
             for idx, (d, f_hat) in enumerate(refined)
         ]
 
-    def baseline_entries() -> list[TargetEstimate]:
+    def baseline_entries(metadata: dict) -> list[TargetEstimate]:
         raw = baseline_mod.baseline_estimate(cube, scenario, codes, refined, grid,
                                              gate_music=baseline_gate_music)
         return [TargetEstimate(e["delay_bins"], e["doppler_hz"], e.get("doa_deg"),
@@ -212,7 +215,7 @@ def run_scenario(
         t1 = time.perf_counter()
         metadata = {"stage1": stage1_meta}
         try:
-            entries = tuple(chains[m]())
+            entries = tuple(chains[m](metadata))
         except ValueError as exc:
             metadata["error"] = f"{type(exc).__name__}: {exc}"
             entries = tuple(TargetEstimate(d, f, None, None, 0.0, metadata["error"])
@@ -227,11 +230,12 @@ def run_scenario(
                      xi1_grid, xi2_grid)
 
 
-def _stage1_diagnostics(basis: SubspaceBasis) -> dict:
-    """The stage-1 subspace solve as plain JSON values: the Ritz spectrum
-    head, its lambda_P / lambda_P+1 gap (None when lambda_P+1 is zero or
-    not reported), and the solver's restarts, final relative residual and
-    convergence flag."""
+def _subspace_diagnostics(basis: SubspaceBasis) -> dict:
+    """A subspace solve (stage 1's fast-time covariance, stage 2's PRI
+    gram) as plain JSON values: the Ritz spectrum head, its lambda_P /
+    lambda_P+1 gap (None when lambda_P+1 is zero or not reported), and
+    the solver's restarts, final relative residual and convergence
+    flag."""
     vals = [float(v) for v in basis.eigenvalues]
     p = basis.signal_dim
     gap = vals[p - 1] / vals[p] if len(vals) > p and vals[p] > 0 else None
@@ -572,11 +576,12 @@ def emit_outputs(
             "methods": sorted(run.reports),
             "elapsed_s": {m: r.elapsed_s for m, r in run.reports.items()},
         }
-        # stage 1 is shared, so every report carries the same diagnostics
-        stage1 = [r.metadata["stage1"] for r in run.reports.values()
-                  if "stage1" in r.metadata]
-        if stage1:
-            doc["run"]["stage1"] = stage1[0]
+        # stage 1 is shared, so every report carries the same diagnostics;
+        # only the v-ST report has a stage-2 solve
+        for stage in ("stage1", "stage2"):
+            metas = [r.metadata[stage] for r in run.reports.values() if stage in r.metadata]
+            if metas:
+                doc["run"][stage] = metas[0]
     if rmse is not None:
         doc["monte_carlo"] = {
             "seed": rmse.seed,

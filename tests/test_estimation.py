@@ -166,10 +166,17 @@ class TestSubspaceSplit:
         assert np.mean(ratios) == pytest.approx(1 - 1 / dim, abs=0.01)
 
     def test_signal_dim_bounds(self):
+        cov = _psd_with_spectrum([4.0, 3.0, 2.0, 1.0], seed=7)
         with pytest.raises(ValueError):
-            est.subspace_split(np.eye(4, dtype=complex), 4)
+            est.subspace_split(cov, 5)
         with pytest.raises(ValueError):
-            est.subspace_split(np.eye(4, dtype=complex), 0)
+            est.subspace_split(cov, 0)
+        # signal_dim == ambient: one exact Rayleigh-Ritz solve
+        got = est.subspace_split(cov, 4)
+        vals, vecs = _eigh_top(cov, 4)
+        assert got.converged and got.restarts == 1
+        assert np.allclose(got.eigenvalues, vals, rtol=1e-13)
+        assert np.allclose(np.abs(got.basis.conj().T @ vecs), np.eye(4), atol=1e-12)
 
     def test_three_clean_targets_rank(self, paper_scenario):
         s = paper_scenario.with_system(snr_db=float("inf"), scr_db=float("inf"))
@@ -179,15 +186,32 @@ class TestSubspaceSplit:
         vals = basis.eigenvalues
         assert vals[3] < 1e-8 * vals[0]
 
-    def test_snapshot_matrix_matches_covariance_path(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(40, 12)) + 1j * rng.normal(size=(40, 12))
-        via_snap = est._gram_subspace(x.conj().T @ x, x.__matmul__, x.shape, 3)
-        via_cov = est.subspace_split(x @ x.conj().T / 12, 3)
-        # same subspace up to column phase
-        overlap = np.abs(via_snap.basis.conj().T @ via_cov.basis)
-        assert np.allclose(overlap, np.eye(3), atol=1e-9)
-        assert via_snap.eigenvalues[:3] == pytest.approx(via_cov.eigenvalues[:3])
+    @pytest.mark.parametrize("case", ["tiny", "paper_0db", "paper_clutter"])
+    def test_stage2_basis_matches_the_snapshot_svd(self, case, paper_scenario):
+        # the stage-2 basis spans the top left singular vectors of the
+        # materialised virtual-snapshot matrix, and its eigenvalues are
+        # their squared singular values over the PRI count
+        if case == "tiny":
+            s = make_tiny_scenario(snr_db=20.0, scr_db=float("inf"))
+        elif case == "paper_0db":
+            s = paper_scenario.with_system(snr_db=0.0, scr_db=float("inf"))
+        else:
+            s = paper_scenario  # 20 dB SNR, -5 dB SCR
+        codes, symbols = build_waveform(s)
+        cube = b.synthesize_cube(s, codes, symbols, np.random.default_rng(26))
+        estimates = [(t.delay_bins, t.doppler_hz) for t in cube.truth]
+        blockers = b.build_blockers(codes, estimates, s.system)
+        virtual = b.apply_virtual_extension(cube, blockers)
+        u_svd, sv, _ = np.linalg.svd(virtual.matrix, full_matrices=False)
+        for dim in (1, 3, 12):
+            ctx = b.prepare_xi2_context(virtual, blockers, estimates, codes, s,
+                                        signal_dim=dim)
+            u = ctx.basis.basis
+            ref = u_svd[:, :dim]
+            # ||P_u - P_ref||_2 = ||u - ref ref^H u||_2 for equal ranks
+            assert np.linalg.norm(u - ref @ (ref.conj().T @ u), 2) < 1e-9
+            assert np.allclose(ctx.basis.eigenvalues[:dim],
+                               sv[:dim] ** 2 / virtual.snapshot_count, rtol=1e-12)
 
     def test_orthonormal_columns(self, paper_scenario):
         codes, symbols = build_waveform(paper_scenario)
@@ -878,6 +902,16 @@ class TestFactoredXi2Context:
         estimates = [(t.delay_bins, t.doppler_hz) for t in cube.truth]
         blockers = self.assert_matches_reference(s, cube, codes, estimates, [1, 3])
         assert blockers.bases[0].shape == (s.system.fast_time_bins, 0)
+
+    def test_zero_samples_raise_the_rank_message(self, tiny_scenario):
+        # an all-zero gram: every Ritz value is zero
+        cube, codes, _, _ = clean_cube(tiny_scenario)
+        zero = replace(cube, samples=np.zeros_like(cube.samples))
+        estimates = [(t.delay_bins, t.doppler_hz) for t in cube.truth]
+        blockers = b.build_blockers(codes, estimates, tiny_scenario.system)
+        with pytest.raises(ValueError, match="snapshot matrix rank is below signal_dim"):
+            b.prepare_xi2_context(b.apply_virtual_extension(zero, blockers), blockers,
+                                  estimates, codes, tiny_scenario)
 
     def test_context_never_holds_the_snapshot_matrix(self, paper_scenario):
         import tracemalloc

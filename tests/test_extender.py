@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import bmradar as b
+from bmradar import extender
 from conftest import build_waveform, clean_cube, make_tiny_scenario
 
 
@@ -41,6 +44,40 @@ class TestBuildBlockers:
             svals = np.linalg.svd(blockers.blockers[m], compute_uv=False)
             assert np.sum(svals > 1e-8 * svals[0]) == 3 * 4
             assert blockers.bases[m].shape == (524, 12)
+
+    @pytest.mark.parametrize("tx_count", [1, 2, 5])
+    def test_equals_the_per_target_construction(self, paper_scenario, tx_count):
+        # blocker m: every estimate's delayed codes of the other antennas,
+        # each with that estimate's Doppler phase, at the edge delays too
+        system = paper_scenario.system
+        L, nc = system.fast_time_bins, system.code_length
+        system = replace(system, tx_count=tx_count)
+        codes = b.extend_codes(b.generate_pn_codes(tx_count, nc, "mseq", seed=3), L)
+        estimates = [(0, -431.5), (L - nc, 212.25), (150, 0.0)]
+        got = b.build_blockers(codes, estimates, system)
+        for m in range(tx_count):
+            others = [mm for mm in range(tx_count) if mm != m]
+            blocks = []
+            for d, f in estimates:
+                shifted = np.zeros((L, len(others)), dtype=complex)
+                shifted[d:d + nc] = codes.chips[:, others]
+                blocks.append(shifted * b.doppler_phase_vector(f, system)[:, None])
+            want = np.concatenate(blocks, axis=1)
+            assert got.blockers[m].tobytes() == want.tobytes()
+            assert got.bases[m].tobytes() == extender._orthonormal_basis(want).tobytes()
+
+    @pytest.mark.parametrize("past_the_edge", [False, True])
+    def test_out_of_range_delay_rejected_before_any_svd(self, paper_scenario,
+                                                         past_the_edge, monkeypatch):
+        codes, _ = build_waveform(paper_scenario)
+        system = paper_scenario.system
+        delay = system.fast_time_bins - codes.code_length + 1 if past_the_edge else -1
+        svds = []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a))
+        with pytest.raises(ValueError, match="range-ambiguous"):
+            b.build_blockers(codes, [(152, -429.37), (delay, 150.84)],
+                             paper_scenario.system)
+        assert svds == []
 
     def test_empty_estimates_rejected(self, paper_scenario):
         codes, _ = build_waveform(paper_scenario)

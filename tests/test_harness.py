@@ -128,6 +128,29 @@ class TestRunScenario:
             assert (e.delay_bins, e.doppler_hz) == (v.delay_bins, v.doppler_hz)
             assert (e.doa_deg, e.dod_deg, e.error) == (None, None, message)
 
+    def test_as_many_sources_as_snapshots(self, paper_scenario):
+        # three PRIs, three sources: the stage-2 solve spans the whole PRI
+        # gram, one exact Rayleigh-Ritz step
+        result = b.run_scenario(paper_scenario.with_system(pris_per_cpi=3),
+                                method="vst", seed=1)
+        vst = result.reports["vst"]
+        assert "error" not in vst.metadata
+        got = [(round(e.doa_deg, 2), round(e.dod_deg, 2)) for e in vst.entries]
+        assert got == [(149.15, 81.14), (131.83, 70.25), (98.90, 51.65)]
+        assert vst.metadata["stage2"]["converged"]
+        assert vst.metadata["stage2"]["restarts"] == 1
+
+    def test_signal_dim_at_the_pri_length_fails_before_stage_1(self, tiny_noisy,
+                                                               monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "range_doppler_search",
+                            lambda *args, **kwargs: calls.append(args))
+        L = tiny_noisy.system.fast_time_bins
+        for k in (L, L + 1):
+            with pytest.raises(ValueError, match=rf"signal_dim must be in \(0, {L}\)"):
+                b.run_scenario(tiny_noisy, method="both", seed=1, k=k)
+        assert calls == []
+
     @pytest.mark.parametrize("side, kept, missing", [("rx", "dod_deg", "doa_deg"),
                                                      ("tx", "doa_deg", "dod_deg")])
     def test_one_element_array_reports_its_angle_missing(self, tiny_noisy, side, kept,
@@ -524,6 +547,37 @@ class TestStage1Diagnostics:
         assert 1.0 <= metas[0]["gap"] < 1.1
 
 
+class TestStage2Diagnostics:
+    def test_vst_report_and_run_json_carry_the_solve(self, tiny_noisy, tmp_path):
+        result = b.run_scenario(tiny_noisy, method="both", seed=1)
+        meta = result.reports["vst"].metadata["stage2"]
+        assert "stage2" not in result.reports["baseline"].metadata
+        assert set(meta) == TestStage1Diagnostics.KEYS
+        ritz = meta["ritz_values"]
+        assert meta["signal_dim"] == 1 and len(ritz) == 2 and ritz[0] >= ritz[1] > 0
+        assert meta["gap"] == ritz[0] / ritz[1]
+        assert meta["converged"] and meta["restarts"] >= 1
+        assert meta["residual"] <= 1e-13
+        b.emit_outputs(tmp_path, run=result)
+        doc = json.loads((tmp_path / "run.json").read_text())
+        assert doc["run"]["stage2"] == meta
+        assert doc["run"]["stage1"] == result.reports["vst"].metadata["stage1"]
+
+    def test_unconverged_solve_is_reported_not_raised(self, paper_scenario, monkeypatch):
+        # at 0 dB the PRI-gram solve needs more than two restarts: with
+        # the cap cut to 2 it stops short, and the run reports it and goes on
+        monkeypatch.setattr(estimation, "_KRYLOV_MAX_RESTARTS", 2)
+        scenario = paper_scenario.with_system(snr_db=0.0, scr_db=float("inf"))
+        reports = [b.run_scenario(scenario, method="vst", seed=5).reports["vst"]
+                   for _ in range(2)]
+        assert reports[0].metadata == reports[1].metadata
+        assert reports[0].entries == reports[1].entries
+        meta = reports[0].metadata["stage2"]
+        assert meta["converged"] is False and meta["restarts"] == 2
+        assert meta["residual"] > 1e-13
+        assert all(e.doa_deg is not None for e in reports[0].entries)
+
+
 class TestNoFullEigendecomposition:
     def test_no_fast_time_covariance_reaches_eigh(self, paper_scenario, monkeypatch):
         # stage 1, estimate_k and the baseline's MUSIC take their subspaces
@@ -542,6 +596,23 @@ class TestNoFullEigendecomposition:
         L = paper_scenario.system.fast_time_bins
         assert shapes  # the spy sees the package's calls
         assert all(shape[-1] < L for shape in shapes), shapes
+
+    def test_no_pri_gram_reaches_eigh(self, paper_scenario, monkeypatch):
+        # the stage-2 basis comes from the same solver: the 256 x 256 PRI
+        # gram is never fully decomposed
+        shapes = []
+        real_eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        result = b.run_scenario(paper_scenario, method="vst", seed=3)
+        assert "error" not in result.reports["vst"].metadata
+        n_s = paper_scenario.system.pris_per_cpi
+        assert shapes
+        assert all(shape[-1] < n_s for shape in shapes), shapes
 
 
 class TestGridCsv:
