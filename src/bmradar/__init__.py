@@ -27,7 +27,6 @@ from .scenario import (
 )
 from .waveform import CodeMatrix, SymbolSequence, extend_codes, generate_pn_codes, generate_symbols, symbol_matrix
 from .manifold import (
-    apply_shift,
     direction_unit_vector,
     doppler_phase_vector,
     extended_manifold,

@@ -124,12 +124,10 @@ def _music_pseudo(
 
 
 def _refine_doa(
-    pseudo: Callable[[np.ndarray], np.ndarray], peak: float, step_deg: float | None
+    pseudo: Callable[[np.ndarray], np.ndarray], peak: float, step_deg: float
 ) -> float:
     """Polish a DOA peak to the pseudo-spectrum maximum on a local grid of
-    step_deg within +-1 degree (clipped to [0, 180]); None keeps the peak."""
-    if step_deg is None:
-        return peak
+    step_deg within +-1 degree (clipped to [0, 180])."""
     local = np.arange(max(0.0, peak - 1.0), min(180.0, peak + 1.0) + 1e-9, step_deg)
     return float(local[int(np.argmax(pseudo(local)))])
 
@@ -140,13 +138,13 @@ def music_doa_spectrum(
     wavelength_m: float,
     k: int,
     theta_grid: np.ndarray,
-    refine_step_deg: float | None = 0.01,
+    refine_step_deg: float,
 ) -> tuple[np.ndarray, list[float]]:
     """Whole-cube MUSIC pseudo-spectrum over DOA and its k largest peaks.
 
     Peaks are picked greedily with suppression within 2 degrees of an
     accepted peak, then each is polished on a +-1 degree local grid at
-    refine_step_deg (None skips refinement).  Only rx_count - 1 sources
+    refine_step_deg.  Only rx_count - 1 sources
     are spatially resolvable.
     """
     n_rx = cube.rx_count
@@ -170,7 +168,7 @@ def gate_music_doa(
     wavelength_m: float,
     delay: int,
     theta_grid: np.ndarray,
-    refine_step_deg: float | None = 0.01,
+    refine_step_deg: float,
 ) -> float:
     """Single-source MUSIC DOA from one despread range gate.
 

@@ -11,6 +11,7 @@ The bundled default scenario is used when --scenario is omitted.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -49,6 +50,9 @@ def _grid_from_args(args, scenario) -> GridSpec:
     if args.doppler_step is not None:
         from .scenario import derive_params
 
+        if not (math.isfinite(args.doppler_step) and args.doppler_step > 0):
+            raise ValueError(f"doppler_hz: step must be finite and > 0 "
+                             f"(got {args.doppler_step})")
         prf = derive_params(scenario).prf_hz
         doppler = np.arange(-prf / 2.0, prf / 2.0 + 1e-9, args.doppler_step)
     return GridSpec(
@@ -94,7 +98,14 @@ def main(argv: list[str] | None = None) -> int:
         p_mc.error(f"{flag} is not supported: Monte Carlo trials always use the "
                    f"scenario's target count")
     scenario = _load(args)
-    grid = _grid_from_args(args, scenario)
+    try:
+        grid = _grid_from_args(args, scenario)
+    except ValueError as exc:  # a GridSpec message starts with the field name
+        flag = {"angle_step_deg": "--angle-step", "angle_refine_step_deg": "--angle-refine-step",
+                "doppler_hz": "--doppler-step"}.get(str(exc).partition(":")[0])
+        if flag is None:
+            raise
+        parser.error(f"argument {flag}: {exc}")
     common = dict(
         grid=grid,
         code_kind=args.code_kind,

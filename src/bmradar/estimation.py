@@ -68,14 +68,14 @@ float view, exactly Hermitian by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import DataCube
 from .extender import BlockerSet, VirtualSnapshots
-from .manifold import spatial_manifold, temporal_signature, transformation_matrix
+from .manifold import _code_rows, spatial_manifold, temporal_signature, transformation_matrix
 from .scenario import Scenario, SystemConfig, derive_params
 from .waveform import CodeMatrix, SymbolSequence
 
@@ -146,7 +146,11 @@ class SubspaceBasis:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Search grids; None fields are filled from the scenario defaults."""
+    """Search grids; None fields are filled from the scenario defaults.
+
+    A step that is not finite and > 0, or an empty axis, raises a
+    ValueError whose message starts with the field's name.
+    """
 
     range_bins: np.ndarray | None = None
     doppler_hz: np.ndarray | None = None
@@ -155,6 +159,16 @@ class GridSpec:
     angle_step_deg: float = 0.5
     angle_refine_step_deg: float = 0.01
     angle_refine_halfwidth_deg: float = 0.75
+
+    def __post_init__(self) -> None:
+        for name in ("angle_step_deg", "angle_refine_step_deg"):
+            step = getattr(self, name)
+            if not (math.isfinite(step) and step > 0):
+                raise ValueError(f"{name}: must be finite and > 0 (got {step})")
+        for name in ("range_bins", "doppler_hz", "theta_deg", "theta_bar_deg"):
+            axis = getattr(self, name)
+            if axis is not None and np.size(axis) == 0:
+                raise ValueError(f"{name}: grid axis is empty")
 
 
 def default_grid(scenario: Scenario, spec: GridSpec | None = None) -> GridSpec:
@@ -457,12 +471,11 @@ def linear_assignment(cost) -> tuple[list[int], list[int]]:
 
 
 def range_doppler_search(
-    cube: DataCube,
     codes: CodeMatrix,
     k: int,
     grid: GridSpec,
     system: SystemConfig,
-    basis: SubspaceBasis | None = None,
+    basis: SubspaceBasis,
 ) -> list[tuple[int, float, float]]:
     """Stage-1 search: k best (delay, coarse Doppler, peak value) triples.
 
@@ -470,17 +483,9 @@ def range_doppler_search(
     Doppler within one code length in delay, which guarantees k distinct
     ranges; each delay row can therefore only contribute its maximum, so
     the peaks are picked among the row maxima (ties on the lowest Doppler
-    index, then the lowest delay index).  A precomputed subspace basis
-    skips the covariance step; without one the basis spans the top k
-    covariance eigenvectors.
+    index, then the lowest delay index).  basis is the fast-time signal
+    subspace the surface is scored against.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if basis is None:
-        cov = temporal_covariance(cube)
-        if k >= len(cov):  # a basis of all of C^L leaves no noise subspace
-            raise ValueError(f"signal_dim must be in (0, {len(cov)})")
-        basis = subspace_split(cov, k)
     surface = xi1_surface(codes, basis, system, grid.range_bins, grid.doppler_hz)
     cols = surface.argmax(axis=1)
     best = surface[np.arange(len(cols)), cols]
@@ -502,8 +507,9 @@ def despread_gate(cube: DataCube, codes: CodeMatrix, delay: int) -> np.ndarray:
     spatial snapshot per PRI.
     """
     nc = codes.code_length
+    rows = _code_rows(delay, nc, cube.fast_time_bins)
     cs = codes.composite[:nc].astype(complex)
-    return np.einsum("q,nqi->ni", np.conj(cs), cube.samples[:, delay:delay + nc, :])
+    return np.einsum("q,nqi->ni", np.conj(cs), cube.samples[:, rows, :])
 
 
 def doppler_refine(
@@ -523,11 +529,8 @@ def doppler_refine(
     unpadded periodogram (error bounded by half a Doppler bin).  The
     result is wrapped into (-PRF/2, PRF/2].
     """
-    nc = codes.code_length
     n_s = cube.pri_count
     prf = 1.0 / system.pri_s
-    if d_hat < 0 or d_hat + nc > system.fast_time_bins:
-        raise ValueError(f"delay {d_hat} outside the valid range")
     z = despread_gate(cube, codes, d_hat)
     z = z * np.asarray(symbols.symbols, dtype=float)[:, None]
 
@@ -566,7 +569,6 @@ class Xi2Context:
     basis: SubspaceBasis
     numerators: np.ndarray          # (K,) angle-independent ||P h||^2
     basis_phi: np.ndarray           # (K, P, n_bar, n_rx) contractions
-    wavelength_m: float = field(default=0.0)
 
 
 def prepare_xi2_context(
@@ -583,7 +585,6 @@ def prepare_xi2_context(
     of the PRI gram X^H X from subspace_split (module docstring).
     """
     system = scenario.system
-    derived = derive_params(scenario)
     k = len(estimates)
     dim = signal_dim or k
     ambient, count = virtual.shape
@@ -614,7 +615,6 @@ def prepare_xi2_context(
         basis=basis,
         numerators=numerators,
         basis_phi=basis_phi,
-        wavelength_m=derived.wavelength_m,
     )
 
 
@@ -659,8 +659,9 @@ def xi2_surface(
     theta_deg = np.atleast_1d(np.asarray(theta_deg, dtype=float))
     theta_bar_deg = np.atleast_1d(np.asarray(theta_bar_deg, dtype=float))
     scen = context.scenario
-    s_rx = spatial_manifold(scen.rx_array, theta_deg, 0.0, context.wavelength_m, "rx")
-    s_tx = spatial_manifold(scen.tx_array, theta_bar_deg, 0.0, context.wavelength_m, "tx")
+    wavelength_m = derive_params(scen).wavelength_m
+    s_rx = spatial_manifold(scen.rx_array, theta_deg, 0.0, wavelength_m, "rx")
+    s_tx = spatial_manifold(scen.tx_array, theta_bar_deg, 0.0, wavelength_m, "tx")
     tx_pairs = _tx_pairs(s_tx)
     indices = range(len(context.estimates)) if context_index is None else [context_index]
     out = np.empty((len(indices), len(theta_deg), len(theta_bar_deg)), dtype=float)
@@ -683,31 +684,28 @@ def xi2_cost(theta_deg: float, theta_bar_deg: float, context: Xi2Context) -> flo
 
 def doa_dod_search(
     context: Xi2Context,
-    k: int,
     grid: GridSpec,
-) -> tuple[list[tuple[float, float, float, int]], np.ndarray]:
-    """Stage-2 search: k (DOA, DOD, peak value, context index) tuples,
-    and the coarse per-context stack they were picked from.
+) -> tuple[list[tuple[float, float, float]], np.ndarray]:
+    """Stage-2 search: one (DOA, DOD, peak value) triple per target
+    context, in context order, and the coarse per-context stack they were
+    picked from.
 
     Each stage-1 target context carries its own delayed-Doppler signature,
     so its cost term peaks at that target's direction pair; the search
     takes the coarse-grid argmax of every context's term and refines it on
     a local fine grid.  (The summed surface is unreliable here: secondary
     maxima of a strong target can outgrow a weak target's main peak.)
-    Peak-to-target association is therefore intrinsic.  If k differs from
-    the context count, the k largest context peaks are returned.  The
-    stack is the (K, len(theta), len(theta_bar)) xi2_surface it scored on
-    the coarse grid; its sum over axis 0 is the summed surface.
+    Peak-to-target association is therefore intrinsic.  The stack is the
+    (K, len(theta), len(theta_bar)) xi2_surface it scored on the coarse
+    grid; its sum over axis 0 is the summed surface.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     theta = grid.theta_deg
     theta_bar = grid.theta_bar_deg
     stack = xi2_surface(context, theta, theta_bar, per_context=True)
     step = grid.angle_refine_step_deg
     half = grid.angle_refine_halfwidth_deg
 
-    results: list[tuple[float, float, float, int]] = []
+    results: list[tuple[float, float, float]] = []
     for ki in range(stack.shape[0]):
         surf = stack[ki]
         flat = int(np.argmax(surf))
@@ -718,13 +716,5 @@ def doa_dod_search(
         local = xi2_surface(context, local_th, local_tb, context_index=ki)
         flat = int(np.argmax(local))
         ii, jj = np.unravel_index(flat, local.shape)
-        results.append(
-            (float(local_th[ii]), float(local_tb[jj]), float(local[ii, jj]), ki)
-        )
-
-    if len(results) < k:
-        raise PeakError(f"found only {len(results)} of {k} direction peaks")
-    if k != len(results):
-        results = sorted(results, key=lambda r: -r[2])[:k]
-        results.sort(key=lambda r: r[3])
+        results.append((float(local_th[ii]), float(local_tb[jj]), float(local[ii, jj])))
     return results, stack

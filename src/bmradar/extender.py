@@ -56,12 +56,10 @@ class BlockerSet:
 
     blockers[m]: L x (K * (n_bar - 1)) matrix of interfering signatures.
     bases[m]:    orthonormal basis of its column space (rank-truncated).
-    estimates:   the (delay, Doppler) pairs the blockers were built from.
     """
 
     blockers: tuple[np.ndarray, ...]
     bases: tuple[np.ndarray, ...]
-    estimates: tuple[tuple[int, float], ...]
 
     @property
     def tx_count(self) -> int:
@@ -186,11 +184,7 @@ def build_blockers(
         b_m = np.concatenate([t[:, others] for t in signatures], axis=1)
         blockers.append(b_m)
         bases.append(_orthonormal_basis(b_m))
-    return BlockerSet(
-        blockers=tuple(blockers),
-        bases=tuple(bases),
-        estimates=tuple((int(d), float(f)) for d, f in estimates),
-    )
+    return BlockerSet(blockers=tuple(blockers), bases=tuple(bases))
 
 
 def apply_virtual_extension(cube: DataCube, blockers: BlockerSet) -> VirtualSnapshots:

@@ -164,7 +164,7 @@ def run_scenario(
         basis = subspace_split(cov, k_eff)
     stage1_meta = _subspace_diagnostics(basis)
 
-    stage1 = range_doppler_search(cube, codes, k_eff, grid, system, basis=basis)
+    stage1 = range_doppler_search(codes, k_eff, grid, system, basis)
     refined = [
         (d, doppler_refine(cube, codes, d, symbols, system, refine=refine_doppler))
         for d, _, _ in stage1
@@ -191,16 +191,12 @@ def run_scenario(
         blind = " and ".join(a for a, keep in (("DOA", keep_doa), ("DOD", keep_dod))
                              if not keep)
         error = f"{blind} not observable with a one-element array" if blind else None
-        peaks, stack = doa_dod_search(context, k_eff, grid)
+        peaks, stack = doa_dod_search(context, grid)
         if store_surfaces:
             coarse = stack
-        by_context = {ctx: (th if keep_doa else None, tb if keep_dod else None, val, error)
-                      for th, tb, val, ctx in peaks}
-        return [
-            TargetEstimate(d, f_hat, *by_context[idx]) if idx in by_context
-            else TargetEstimate(d, f_hat, None, None, error="no direction peak assigned")
-            for idx, (d, f_hat) in enumerate(refined)
-        ]
+        return [TargetEstimate(d, f_hat, th if keep_doa else None, tb if keep_dod else None,
+                               val, error)
+                for (d, f_hat), (th, tb, val) in zip(refined, peaks)]
 
     def baseline_entries(metadata: dict) -> list[TargetEstimate]:
         raw = baseline_mod.baseline_estimate(cube, scenario, codes, refined, grid,

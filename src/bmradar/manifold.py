@@ -23,7 +23,6 @@ __all__ = [
     "direction_unit_vector",
     "spatial_manifold",
     "doppler_phase_vector",
-    "apply_shift",
     "temporal_signature",
     "extended_manifold",
     "transformation_matrix",
@@ -72,16 +71,30 @@ def doppler_phase_vector(f_hz: float, system: SystemConfig) -> np.ndarray:
     return np.exp(2j * np.pi * f_hz * t)
 
 
-def apply_shift(v: np.ndarray, d: int) -> np.ndarray:
-    """Delay a fast-time vector by d bins, zero-filling (no wrap-around)."""
-    n = v.shape[0]
-    if not 0 <= d < n:
-        raise ValueError(f"shift {d} outside [0, {n})")
-    out = np.zeros_like(v)
-    if d == 0:
-        return v.copy()
-    out[d:] = v[:-d]
-    return out
+def _code_rows(d: int, code_length: int, fast_time_bins: int) -> slice:
+    """Fast-time rows d .. d + nc - 1 of a code delayed by d bins.
+
+    The delayed code must fit inside the PRI (d + nc <= L); an echo
+    arriving later is range-ambiguous and rejected.
+    """
+    last = fast_time_bins - code_length
+    if not 0 <= d <= last:
+        raise ValueError(
+            f"delay {d} bins is range-ambiguous: code support would leave the "
+            f"PRI (need 0 <= d <= {last})"
+        )
+    return slice(d, d + code_length)
+
+
+def _delayed_codes(
+    columns: np.ndarray, d: int, f_hz: float, system: SystemConfig
+) -> np.ndarray:
+    """L x c matrix of the nc x c code columns delayed by d bins, with the
+    fast-time Doppler phase applied."""
+    L = system.fast_time_bins
+    shifted = np.zeros((L, columns.shape[1]), dtype=complex)
+    shifted[_code_rows(d, len(columns), L)] = columns
+    return shifted * doppler_phase_vector(f_hz, system)[:, None]
 
 
 def temporal_signature(
@@ -92,18 +105,9 @@ def temporal_signature(
     Requires the delayed code to fit inside the PRI (d + nc <= L); an echo
     arriving later is range-ambiguous and rejected.
     """
-    nc = codes.code_length
-    L = system.fast_time_bins
-    if codes.fast_time_bins != L:
-        raise ValueError(
-            f"codes extended to {codes.fast_time_bins} bins but the PRI has {L}"
-        )
-    if d < 0 or d + nc > L:
-        raise ValueError(
-            f"delay {d} bins is range-ambiguous: code support would leave the "
-            f"PRI (need 0 <= d <= {L - nc})"
-        )
-    return apply_shift(codes.composite.astype(complex), d) * doppler_phase_vector(f_hz, system)
+    # the composite is one column, phased once: a sum of the phased columns
+    # of transformation_matrix would round differently
+    return _delayed_codes(codes.chips.sum(axis=1)[:, None], d, f_hz, system)[:, 0]
 
 
 def extended_manifold(
@@ -112,15 +116,13 @@ def extended_manifold(
     d: int,
     f_hz: float,
     scenario: Scenario,
-    codes=None,
+    codes,
 ) -> np.ndarray:
     """Combined Tx/Rx/fast-time response vector of length n_bar * n * L.
 
     Ordering is (tx antenna, rx antenna, fast time), i.e.
     conj(tx_manifold) kron rx_manifold kron temporal_signature.
     """
-    if codes is None:
-        raise ValueError("codes must be supplied")
     derived = derive_params(scenario)
     s_rx = spatial_manifold(scenario.rx_array, theta_deg, 0.0, derived.wavelength_m, "rx")
     s_tx = spatial_manifold(scenario.tx_array, theta_bar_deg, 0.0, derived.wavelength_m, "tx")
@@ -138,12 +140,4 @@ def transformation_matrix(
     nonsingular; the gram is independent of both d and f because the
     unit-modulus Doppler phases cancel.
     """
-    nc = codes.code_length
-    L = system.fast_time_bins
-    if d < 0 or d + nc > L:
-        raise ValueError(
-            f"delay {d} bins is range-ambiguous (need 0 <= d <= {L - nc})"
-        )
-    shifted = np.zeros((L, codes.tx_count), dtype=complex)
-    shifted[d:d + nc, :] = codes.chips
-    return shifted * doppler_phase_vector(f_hz, system)[:, None]
+    return _delayed_codes(codes.chips, d, f_hz, system)

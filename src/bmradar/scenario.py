@@ -116,10 +116,6 @@ class SystemConfig:
     def cpi_s(self) -> float:
         return self.pris_per_cpi * self.pri_s
 
-    @property
-    def bandwidth_hz(self) -> float:
-        return 1.0 / self.chip_period_s
-
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -140,11 +136,6 @@ class ArrayGeometry:
     @property
     def element_count(self) -> int:
         return len(self.coordinates[0])
-
-    @staticmethod
-    def from_matrix(matrix: np.ndarray) -> "ArrayGeometry":
-        m = np.asarray(matrix, dtype=float)
-        return ArrayGeometry(tuple(tuple(float(v) for v in row) for row in m))
 
 
 @dataclass(frozen=True)
@@ -233,10 +224,6 @@ class DerivedParams:
     prf_hz: float
     doppler_bin_hz: float
     range_bin_m: float
-
-    @property
-    def unambiguous_doppler_hz(self) -> float:
-        return self.prf_hz / 2.0
 
 
 def derive_params(scenario: Scenario) -> DerivedParams:

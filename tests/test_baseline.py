@@ -136,7 +136,7 @@ class TestMusicDoaSpectrum:
         cube, *_ = clean_cube(s)
         d_par = b.derive_params(s)
         _, peaks = bl.music_doa_spectrum(
-            cube, s.rx_array, d_par.wavelength_m, 1, np.arange(0, 180.01, 0.5), None
+            cube, s.rx_array, d_par.wavelength_m, 1, np.arange(0, 180.01, 0.5), 0.01
         )
         assert peaks[0] == pytest.approx(150.0, abs=0.5)
 
@@ -146,7 +146,7 @@ class TestMusicDoaSpectrum:
         cube = b.synthesize_cube(s, codes, symbols, np.random.default_rng(21))
         d_par = b.derive_params(s)
         _, peaks = bl.music_doa_spectrum(
-            cube, s.rx_array, d_par.wavelength_m, 3, np.arange(0, 180.01, 0.5)
+            cube, s.rx_array, d_par.wavelength_m, 3, np.arange(0, 180.01, 0.5), 0.01
         )
         assert sorted(round(p) for p in peaks) == [100, 130, 150]
         for truth in (150.0, 130.0, 100.0):
@@ -160,7 +160,7 @@ class TestMusicDoaSpectrum:
         cube = b.synthesize_cube(s, codes, symbols, np.random.default_rng(1))
         d_par = b.derive_params(s)
         spec, _ = bl.music_doa_spectrum(
-            cube, s.rx_array, d_par.wavelength_m, 1, np.arange(0, 180.01, 0.5), None
+            cube, s.rx_array, d_par.wavelength_m, 1, np.arange(0, 180.01, 0.5), 0.01
         )
         assert spec.max() / spec.min() < 2.0
 
@@ -169,7 +169,7 @@ class TestMusicDoaSpectrum:
         d_par = b.derive_params(paper_scenario)
         with pytest.raises(ValueError, match="resolve"):
             bl.music_doa_spectrum(cube, paper_scenario.rx_array,
-                                  d_par.wavelength_m, 5, np.arange(0, 180.01, 0.5))
+                                  d_par.wavelength_m, 5, np.arange(0, 180.01, 0.5), 0.01)
 
 
 class TestBaselineEstimate:

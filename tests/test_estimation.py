@@ -54,6 +54,20 @@ def stage1_surfaces(draw):
             draw(st.integers(min_value=1, max_value=4)))
 
 
+class TestGridSpec:
+    @pytest.mark.parametrize("name", ["angle_step_deg", "angle_refine_step_deg"])
+    @pytest.mark.parametrize("step", [0.0, -0.5, math.nan, math.inf, -math.inf])
+    def test_bad_angle_step_names_the_field(self, name, step):
+        with pytest.raises(ValueError, match=rf"^{name}: must be finite and > 0"):
+            est.GridSpec(**{name: step})
+
+    @pytest.mark.parametrize("name", ["range_bins", "doppler_hz", "theta_deg",
+                                      "theta_bar_deg"])
+    def test_empty_axis_names_the_field(self, name):
+        with pytest.raises(ValueError, match=rf"^{name}: grid axis is empty"):
+            est.GridSpec(**{name: np.array([])})
+
+
 class TestTemporalCovariance:
     def test_zero_cube(self, tiny_scenario):
         cube, *_ = clean_cube(tiny_scenario)
@@ -331,16 +345,21 @@ class TestSubspaceSplit:
         # slowest: stage 1 picks the (delay, coarse Doppler) pairs that the
         # full eigendecomposition's basis picks
         scenario = paper_scenario.with_system(snr_db=0.0, scr_db=float("inf"))
-        picks = []
+        picks, covs = [], []
 
-        def both_bases(cube, codes, k, grid, system, basis):
-            vals, vecs = _eigh_top(est.temporal_covariance(cube), k)
+        def kept_covariance(cube):
+            covs.append(est.temporal_covariance(cube))
+            return covs[-1]
+
+        def both_bases(codes, k, grid, system, basis):
+            vals, vecs = _eigh_top(covs[-1], k)
             reference = est.SubspaceBasis(vecs, vals, k)
-            got, want = (est.range_doppler_search(cube, codes, k, grid, system, basis=u)
+            got, want = (est.range_doppler_search(codes, k, grid, system, u)
                          for u in (basis, reference))
             picks.append(([p[:2] for p in got], [p[:2] for p in want]))
             return got
 
+        monkeypatch.setattr(harness, "temporal_covariance", kept_covariance)
         monkeypatch.setattr(harness, "range_doppler_search", both_bases)
         for trial in range(8):
             b.run_scenario(scenario, method="baseline", seed=_trial_seed(20260808, 0, trial))
@@ -537,6 +556,12 @@ class TestXi1PackedElimination:
         assert got.tobytes() == want.tobytes()
 
 
+def _stage1(cube, codes, k, grid, system):
+    """Stage 1 on the cube's top-k fast-time subspace, as run_scenario runs it."""
+    basis = est.subspace_split(est.temporal_covariance(cube), k)
+    return est.range_doppler_search(codes, k, grid, system, basis)
+
+
 class TestRangeDopplerSearch:
     def test_noiseless_argmax_at_exact_node(self, paper_scenario):
         cube, codes, _, _, s = noiseless_single_target(paper_scenario)
@@ -545,7 +570,7 @@ class TestRangeDopplerSearch:
             doppler_hz=np.array([t.doppler_hz - 30, t.doppler_hz - 15,
                                  t.doppler_hz, t.doppler_hz + 15])
         ))
-        peaks = est.range_doppler_search(cube, codes, 1, grid, s.system)
+        peaks = _stage1(cube, codes, 1, grid, s.system)
         assert peaks[0][0] == t.delay_bins
         assert peaks[0][1] == pytest.approx(t.doppler_hz)
 
@@ -554,8 +579,7 @@ class TestRangeDopplerSearch:
         cube = b.synthesize_cube(paper_scenario, codes, symbols,
                                  np.random.default_rng(11))
         grid = est.default_grid(paper_scenario)
-        peaks = est.range_doppler_search(cube, codes, 3, grid,
-                                         paper_scenario.system)
+        peaks = _stage1(cube, codes, 3, grid, paper_scenario.system)
         assert sorted(p[0] for p in peaks) == [152, 189, 228]
 
     @settings(max_examples=300, deadline=None)
@@ -570,9 +594,9 @@ class TestRangeDopplerSearch:
         with mock.patch.object(est, "xi1_surface", lambda *args: surface):
             if len(want) < k:
                 with pytest.raises(est.PeakError, match=f"found only {len(want)} of {k}"):
-                    est.range_doppler_search(None, codes, k, grid, None, basis=object())
+                    est.range_doppler_search(codes, k, grid, None, object())
             else:
-                got = est.range_doppler_search(None, codes, k, grid, None, basis=object())
+                got = est.range_doppler_search(codes, k, grid, None, object())
                 assert got == want
 
     def test_greedy_peaks_skips_nan_and_suppresses_inclusively(self):
@@ -588,7 +612,7 @@ class TestRangeDopplerSearch:
             doppler_hz=np.array([-429.37, 0.0]),
         ))
         with pytest.raises(est.PeakError, match="found only 1"):
-            est.range_doppler_search(cube, codes, 2, grid, s.system)
+            _stage1(cube, codes, 2, grid, s.system)
 
 
 def _assignment_costs(kind, rng, shape):
@@ -688,6 +712,18 @@ class TestDopplerRefine:
             f_hat = b.doppler_refine(cube, codes, t.delay_bins, symbols,
                                      paper_scenario.system, refine=False)
             assert abs(f_hat - t.doppler_hz) <= d_par.prf_hz / (2 * 256)
+
+    def test_range_ambiguous_gate_rejected(self):
+        # the despread gate shares the code signatures' range check
+        s = make_tiny_scenario()
+        cube, codes, symbols, _ = clean_cube(s)
+        last = s.system.fast_time_bins - s.system.code_length
+        assert est.despread_gate(cube, codes, last).shape == (cube.pri_count, cube.rx_count)
+        for d in (-1, last + 1):
+            with pytest.raises(ValueError, match=rf"range-ambiguous.*0 <= d <= {last}"):
+                est.despread_gate(cube, codes, d)
+            with pytest.raises(ValueError, match=rf"range-ambiguous.*0 <= d <= {last}"):
+                b.doppler_refine(cube, codes, d, symbols, s.system)
 
 
 class TestXi2:
@@ -800,8 +836,9 @@ class TestXi2HermitianForm:
                                     estimates, codes, s)
         theta = np.arange(0.0, 180.0 + 1e-9, 0.5)
         theta_bar = np.arange(20.0, 160.0, 0.37)
-        s_rx = b.spatial_manifold(s.rx_array, theta, 0.0, ctx.wavelength_m, "rx")
-        s_tx = b.spatial_manifold(s.tx_array, theta_bar, 0.0, ctx.wavelength_m, "tx")
+        wavelength_m = b.derive_params(s).wavelength_m
+        s_rx = b.spatial_manifold(s.rx_array, theta, 0.0, wavelength_m, "rx")
+        s_tx = b.spatial_manifold(s.tx_array, theta_bar, 0.0, wavelength_m, "tx")
         pairs = est._tx_pairs(s_tx)
         for ki in range(len(estimates)):
             got = est._signal_power(ctx.basis_phi[ki], s_rx, pairs)
@@ -819,7 +856,8 @@ class TestXi2HermitianForm:
         ctx = b.prepare_xi2_context(b.VirtualSnapshots(cube.samples, blockers), blockers,
                                     estimates, codes, paper_scenario)
         grid = est.default_grid(paper_scenario)
-        _, stack = b.doa_dod_search(ctx, 3, grid)
+        results, stack = b.doa_dod_search(ctx, grid)
+        assert len(results) == len(estimates)  # one triple per context
         want = b.xi2_surface(ctx, grid.theta_deg, grid.theta_bar_deg, per_context=True)
         assert stack.tobytes() == want.tobytes()
         summed = b.xi2_surface(ctx, grid.theta_deg, grid.theta_bar_deg)
@@ -941,9 +979,8 @@ class TestDoaDodSearch:
         ctx = b.prepare_xi2_context(virtual, blockers,
                                     [(t.delay_bins, t.doppler_hz)], codes, s)
         grid = est.default_grid(s)
-        results, _ = b.doa_dod_search(ctx, 1, grid)
-        th, tb, _, ctx_idx = results[0]
-        assert ctx_idx == 0
+        results, _ = b.doa_dod_search(ctx, grid)
+        (th, tb, _), = results  # one result for the one context
         assert abs(th - t.doa_deg) <= grid.angle_refine_step_deg + 1e-9
         assert abs(tb - t.dod_deg) <= grid.angle_refine_step_deg + 1e-9
 
@@ -961,8 +998,8 @@ class TestDoaDodSearch:
             theta_bar_deg=np.arange(70.0, 78.1, 0.5),
             angle_refine_halfwidth_deg=0.0,
         )
-        results, _ = b.doa_dod_search(ctx, 1, grid)
-        th, tb, _, _ = results[0]
+        results, _ = b.doa_dod_search(ctx, grid)
+        (th, tb, _), = results
         assert th == pytest.approx(148.0)  # truth 150 is off-grid
         assert tb == pytest.approx(78.0)   # truth 81.2 is off-grid
 

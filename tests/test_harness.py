@@ -580,9 +580,9 @@ class TestStage2Diagnostics:
 
 class TestNoFullEigendecomposition:
     def test_no_fast_time_covariance_reaches_eigh(self, paper_scenario, monkeypatch):
-        # stage 1, estimate_k and the baseline's MUSIC take their subspaces
-        # from the block Krylov solver; only its small Rayleigh-Ritz
-        # matrices and the stage-2 PRI gram are ever fully decomposed
+        # stage 1, estimate_k, the baseline's MUSIC and the stage-2 PRI gram
+        # take their subspaces from the block Krylov solver; only its small
+        # Rayleigh-Ritz matrices are ever fully decomposed
         shapes = []
         real_eigh = np.linalg.eigh
 
@@ -694,6 +694,27 @@ class TestCli:
         assert exc.value.code == 2
         assert flag[0] in capsys.readouterr().err
         assert not (tmp_path / "mc").exists()
+
+    @pytest.mark.parametrize("command", ["run", "mc", "grids"])
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--angle-refine-step", "0", "angle_refine_step_deg"),
+        ("--angle-step", "0", "angle_step_deg"),
+        ("--angle-step", "-0.5", "angle_step_deg"),
+        ("--angle-step", "nan", "angle_step_deg"),
+        ("--doppler-step", "-1", "doppler_hz"),
+        ("--doppler-step", "0", "doppler_hz"),
+        ("--doppler-step", "inf", "doppler_hz"),
+    ])
+    def test_bad_grid_step_is_a_usage_error(self, tmp_path, capsys, command, flag, value,
+                                            field):
+        scen = self._write_tiny(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--scenario", str(scen), "--out", str(tmp_path / "out"),
+                      flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {field}:" in err
+        assert not (tmp_path / "out").exists()
 
     def test_grids_subcommand(self, tmp_path, monkeypatch):
         runs = []

@@ -7,6 +7,28 @@ import bmradar as b
 from conftest import build_waveform, make_tiny_scenario
 
 
+def _shifted(v, d):
+    """Delay a fast-time vector by d bins, zero-filling (no wrap-around)."""
+    out = np.zeros_like(v)
+    if d == 0:
+        return v.copy()
+    out[d:] = v[:-d]
+    return out
+
+
+def _reference_signature(codes, d, f_hz, system):
+    """The composite code shifted by d bins, times the Doppler phase."""
+    return (_shifted(codes.composite.astype(complex), d)
+            * b.doppler_phase_vector(f_hz, system))
+
+
+def _reference_transformation(codes, d, f_hz, system):
+    """The chips placed at rows d..d+nc-1, times the Doppler phase."""
+    shifted = np.zeros((system.fast_time_bins, codes.tx_count), dtype=complex)
+    shifted[d:d + codes.code_length, :] = codes.chips
+    return shifted * b.doppler_phase_vector(f_hz, system)[:, None]
+
+
 class TestDirectionUnitVector:
     def test_boresight(self):
         assert b.direction_unit_vector(0.0, 0.0) == pytest.approx((1.0, 0.0, 0.0))
@@ -92,30 +114,23 @@ class TestDopplerPhaseVector:
         )
 
 
-class TestApplyShift:
-    def test_identity(self):
-        v = np.arange(8.0)
-        assert np.array_equal(b.apply_shift(v, 0), v)
-
-    def test_maximum_shift(self):
-        v = np.arange(1.0, 9.0)
-        out = b.apply_shift(v, 7)
-        assert np.all(out[:7] == 0.0)
-        assert out[7] == 1.0
-
-    def test_norm_preserved_when_support_fits(self, paper_scenario):
-        codes, _ = build_waveform(paper_scenario)
-        out = b.apply_shift(codes.composite, 228)
-        assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(codes.composite))
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            b.apply_shift(np.zeros(8), 8)
-        with pytest.raises(ValueError):
-            b.apply_shift(np.zeros(8), -1)
-
-
 class TestTemporalSignature:
+    @pytest.mark.parametrize("which", ["paper", "tiny"])
+    def test_bytes_equal_the_shifted_composite(self, which, paper_scenario):
+        s = paper_scenario if which == "paper" else make_tiny_scenario()
+        codes, _ = build_waveform(s)
+        last = s.system.fast_time_bins - s.system.code_length
+        for d in (0, last // 2, last):
+            for f in (0.0, -429.37, 1234.5):
+                sig = b.temporal_signature(codes, d, f, s.system)
+                want = _reference_signature(codes, d, f, s.system)
+                assert sig.dtype == want.dtype and sig.shape == want.shape
+                assert sig.tobytes() == want.tobytes()
+                t_mat = b.transformation_matrix(codes, d, f, s.system)
+                t_want = _reference_transformation(codes, d, f, s.system)
+                assert t_mat.shape == t_want.shape
+                assert t_mat.tobytes() == t_want.tobytes()
+
     def test_zero_delay_zero_doppler(self, paper_scenario):
         codes, _ = build_waveform(paper_scenario)
         sig = b.temporal_signature(codes, 0, 0.0, paper_scenario.system)
@@ -138,6 +153,10 @@ class TestTemporalSignature:
         codes, _ = build_waveform(paper_scenario)
         with pytest.raises(ValueError, match="ambiguous"):
             b.temporal_signature(codes, 510, 0.0, paper_scenario.system)
+        for build in (b.temporal_signature, b.transformation_matrix):
+            for d in (-1, 510):
+                with pytest.raises(ValueError, match=r"range-ambiguous.*0 <= d <= 509"):
+                    build(codes, d, 0.0, paper_scenario.system)
 
 
 class TestExtendedManifold:
