@@ -13,14 +13,12 @@ RMSE over SNR.
 from .scenario import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
-    DerivedParams,
     Scenario,
     ScenarioError,
     SystemConfig,
     TargetSpec,
     default_scenario,
     default_scenario_path,
-    derive_params,
     load_scenario,
     save_scenario,
     truth_from_geometry,

@@ -25,7 +25,7 @@ from .channel import DataCube
 from .estimation import (GridSpec, SubspaceBasis, despread_gate, greedy_peaks,
                          hermitian_gram, linear_assignment, subspace_split)
 from .manifold import spatial_manifold
-from .scenario import ArrayGeometry, Scenario, derive_params
+from .scenario import Scenario
 from .waveform import CodeMatrix
 
 __all__ = [
@@ -110,13 +110,11 @@ def spatial_covariance(cube: DataCube) -> np.ndarray:
     return hermitian_gram(cube.samples.reshape(n_s * L, n_rx)) / (n_s * L)
 
 
-def _music_pseudo(
-    basis: SubspaceBasis, rx_geometry: ArrayGeometry, wavelength_m: float, grid: np.ndarray
-) -> np.ndarray:
+def _music_pseudo(basis: SubspaceBasis, scenario: Scenario, grid: np.ndarray) -> np.ndarray:
     """MUSIC pseudo-spectrum 1 / ||P_n a(theta)||^2 of an Rx signal basis
     over a DOA grid; +inf where a steering vector lies in the signal
     subspace."""
-    steer = spatial_manifold(rx_geometry, grid, 0.0, wavelength_m, "rx")
+    steer = spatial_manifold(scenario, "rx", grid)
     proj = basis.basis.conj().T @ steer
     den = np.sum(np.abs(steer) ** 2, axis=0) - np.sum(np.abs(proj) ** 2, axis=0)
     with np.errstate(divide="ignore"):
@@ -134,8 +132,7 @@ def _refine_doa(
 
 def music_doa_spectrum(
     cube: DataCube,
-    rx_geometry: ArrayGeometry,
-    wavelength_m: float,
+    scenario: Scenario,
     k: int,
     theta_grid: np.ndarray,
     refine_step_deg: float,
@@ -150,8 +147,7 @@ def music_doa_spectrum(
     n_rx = cube.rx_count
     if k >= n_rx:
         raise ValueError(f"cannot resolve {k} sources with {n_rx} antennas")
-    pseudo = partial(_music_pseudo, subspace_split(spatial_covariance(cube), k),
-                     rx_geometry, wavelength_m)
+    pseudo = partial(_music_pseudo, subspace_split(spatial_covariance(cube), k), scenario)
     theta_grid = np.asarray(theta_grid, dtype=float)
     spectrum = pseudo(theta_grid)
     idx = greedy_peaks(spectrum, theta_grid, 2.0, k)
@@ -164,8 +160,7 @@ def music_doa_spectrum(
 def gate_music_doa(
     cube: DataCube,
     codes: CodeMatrix,
-    rx_geometry: ArrayGeometry,
-    wavelength_m: float,
+    scenario: Scenario,
     delay: int,
     theta_grid: np.ndarray,
     refine_step_deg: float,
@@ -181,7 +176,7 @@ def gate_music_doa(
     """
     y = despread_gate(cube, codes, delay)
     cov = hermitian_gram(y) / y.shape[0]
-    pseudo = partial(_music_pseudo, subspace_split(cov, 1), rx_geometry, wavelength_m)
+    pseudo = partial(_music_pseudo, subspace_split(cov, 1), scenario)
     theta_grid = np.asarray(theta_grid, dtype=float)
     peak = float(theta_grid[int(np.argmax(pseudo(theta_grid)))])
     return _refine_doa(pseudo, peak, refine_step_deg)
@@ -190,8 +185,7 @@ def gate_music_doa(
 def associate_doa_to_range(
     cube: DataCube,
     codes: CodeMatrix,
-    rx_geometry: ArrayGeometry,
-    wavelength_m: float,
+    scenario: Scenario,
     delays: list[int],
     doas: list[float],
 ) -> list[int]:
@@ -206,7 +200,7 @@ def associate_doa_to_range(
     for di, d in enumerate(delays):
         gate = despread_gate(cube, codes, d)
         for ai, theta in enumerate(doas):
-            steer = spatial_manifold(rx_geometry, theta, 0.0, wavelength_m, "rx")
+            steer = spatial_manifold(scenario, "rx", theta)
             power[di, ai] = float(np.sum(np.abs(gate @ np.conj(steer)) ** 2))
     pairing = dict(zip(*linear_assignment(-power)))
     return [pairing[i] for i in range(len(delays))]
@@ -232,23 +226,16 @@ def baseline_estimate(
     dod_deg, rx_range_bins, tx_range_bins; entries whose geometry is
     degenerate carry an 'error' key instead of angles.
     """
-    derived = derive_params(scenario)
     delays = [d for d, _ in stage1]
     if gate_music:
-        doas = [
-            gate_music_doa(cube, codes, scenario.rx_array, derived.wavelength_m,
-                           d, grid.theta_deg, grid.angle_refine_step_deg)
-            for d in delays
-        ]
+        doas = [gate_music_doa(cube, codes, scenario, d, grid.theta_deg,
+                               grid.angle_refine_step_deg)
+                for d in delays]
         pairing = list(range(len(delays)))
     else:
-        _, doas = music_doa_spectrum(
-            cube, scenario.rx_array, derived.wavelength_m, len(delays),
-            grid.theta_deg, grid.angle_refine_step_deg,
-        )
-        pairing = associate_doa_to_range(
-            cube, codes, scenario.rx_array, derived.wavelength_m, delays, doas
-        )
+        _, doas = music_doa_spectrum(cube, scenario, len(delays), grid.theta_deg,
+                                     grid.angle_refine_step_deg)
+        pairing = associate_doa_to_range(cube, codes, scenario, delays, doas)
     out = []
     for (d, f), doa_idx in zip(stage1, pairing):
         theta = doas[doa_idx]

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .manifold import spatial_manifold, transformation_matrix
-from .scenario import DerivedParams, Scenario, TargetSpec, derive_params, truth_from_geometry
+from .scenario import Scenario, SystemConfig, TargetSpec, truth_from_geometry
 from .waveform import CodeMatrix, SymbolSequence
 
 __all__ = [
@@ -103,23 +103,23 @@ class DataCube:
         return self.samples.shape[2]
 
 
-def path_gain(target: TargetSpec, derived: DerivedParams, rng: np.random.Generator) -> PathGain:
+def path_gain(target: TargetSpec, system: SystemConfig, rng: np.random.Generator) -> PathGain:
     """Two-way gain for unit antenna gains.
 
     Magnitude: sqrt(1/(4*pi)**3) * wavelength / (R_tx * R_rx) * sqrt(rcs),
     ranges in metres.  Phase: carrier round-trip delay plus a uniform
     random term drawn once per CPI.
     """
-    r_tx_m = target.tx_range_bins * derived.range_bin_m
-    r_rx_m = target.rx_range_bins * derived.range_bin_m
+    r_tx_m = target.tx_range_bins * system.range_bin_m
+    r_rx_m = target.rx_range_bins * system.range_bin_m
     if r_tx_m <= 0 or r_rx_m <= 0:
         raise ValueError("target ranges must be positive")
     magnitude = (
         math.sqrt(1.0 / (4.0 * math.pi) ** 3)
-        * (derived.wavelength_m / (r_tx_m * r_rx_m))
+        * (system.wavelength_m / (r_tx_m * r_rx_m))
         * math.sqrt(target.rcs_mean_m2)
     )
-    carrier_phase = -2.0 * math.pi * (r_tx_m + r_rx_m) / derived.wavelength_m
+    carrier_phase = -2.0 * math.pi * (r_tx_m + r_rx_m) / system.wavelength_m
     psi = rng.uniform(0.0, 2.0 * math.pi)
     return PathGain(magnitude=magnitude, phase_rad=carrier_phase + psi)
 
@@ -152,11 +152,10 @@ def draw_target_states(
     Synthesis is a pure function of these states, which keeps parallel and
     sequential runs bit-identical.
     """
-    derived = derive_params(scenario)
     states = []
     for target in scenario.targets:
         d_true, f_true = truth_from_geometry(target, scenario.system)
-        gain = path_gain(target, derived, rng)
+        gain = path_gain(target, scenario.system, rng)
         draws = swerling_amplitude(
             target.swerling_model, target.rcs_mean_m2, scenario.system.pris_per_cpi, rng
         )
@@ -183,17 +182,14 @@ def _target_components(
     intra-PRI Doppler ramp.
     """
     system = scenario.system
-    derived = derive_params(scenario)
     n_s = system.pris_per_cpi
     pri = system.pri_s
     a = np.asarray(symbols.symbols, dtype=float)
     out = []
     for target, state in zip(scenario.targets, states):
         d, f = state.truth.delay_bins, state.truth.doppler_hz
-        s_rx = spatial_manifold(scenario.rx_array, target.doa_deg, 0.0,
-                                derived.wavelength_m, "rx")
-        s_tx = spatial_manifold(scenario.tx_array, target.dod_deg, 0.0,
-                                derived.wavelength_m, "tx")
+        s_rx = spatial_manifold(scenario, "rx", target.doa_deg)
+        s_tx = spatial_manifold(scenario, "tx", target.dod_deg)
         # Tx-weighted fast-time signature: sum over antennas of the delayed
         # per-antenna code, weighted by conj(tx steering).
         t_mat = transformation_matrix(codes, d, f, system)

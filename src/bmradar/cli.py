@@ -21,6 +21,26 @@ from .harness import emit_outputs, monte_carlo_rmse, run_scenario
 from .scenario import default_scenario_path, load_scenario
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1 (got {value})")
+    return value
+
+
+def _snr_list(text: str) -> list[float]:
+    try:
+        values = [float(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of numbers: {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one SNR point")
+    if any(math.isnan(v) or v == -math.inf for v in values):
+        raise argparse.ArgumentTypeError("SNR points must not be nan or -inf (inf disables noise)")
+    return values
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", default=None,
                    help="scenario JSON (default: bundled paper.json)")
@@ -48,13 +68,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _grid_from_args(args, scenario) -> GridSpec:
     doppler = None
     if args.doppler_step is not None:
-        from .scenario import derive_params
-
-        if not (math.isfinite(args.doppler_step) and args.doppler_step > 0):
-            raise ValueError(f"doppler_hz: step must be finite and > 0 "
-                             f"(got {args.doppler_step})")
-        prf = derive_params(scenario).prf_hz
-        doppler = np.arange(-prf / 2.0, prf / 2.0 + 1e-9, args.doppler_step)
+        prf, step = scenario.system.prf_hz, args.doppler_step
+        # prf + step == prf: too fine to advance the axis in floating point
+        if not (math.isfinite(step) and step > 0 and prf + step > prf):
+            raise ValueError(f"doppler_hz: step must be finite, > 0 and resolvable "
+                             f"on the {prf:g} Hz axis (got {step})")
+        doppler = np.arange(-prf / 2.0, prf / 2.0 + 1e-9, step)
     return GridSpec(
         doppler_hz=doppler,
         angle_step_deg=args.angle_step,
@@ -80,9 +99,9 @@ def main(argv: list[str] | None = None) -> int:
 
     p_mc = sub.add_parser("mc", help="Monte Carlo RMSE sweep")
     _add_common(p_mc)
-    p_mc.add_argument("--snr", default="0,5,10,15,20",
+    p_mc.add_argument("--snr", type=_snr_list, default="0,5,10,15,20",
                       help="comma-separated SNR points in dB")
-    p_mc.add_argument("--trials", type=int, default=100)
+    p_mc.add_argument("--trials", type=_positive_int, default=100)
     p_mc.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p_mc.add_argument("--drop-failures", action="store_true",
                       help="exclude failed detections from the RMSE mean")
@@ -98,6 +117,11 @@ def main(argv: list[str] | None = None) -> int:
         p_mc.error(f"{flag} is not supported: Monte Carlo trials always use the "
                    f"scenario's target count")
     scenario = _load(args)
+    L = scenario.system.fast_time_bins
+    if args.known_k is not None and not 0 < args.known_k < L:
+        # a basis of all of C^L leaves no noise subspace
+        parser.error(f"argument --known-k: must be in (0, {L}) for this scenario "
+                     f"(got {args.known_k})")
     try:
         grid = _grid_from_args(args, scenario)
     except ValueError as exc:  # a GridSpec message starts with the field name
@@ -122,16 +146,15 @@ def main(argv: list[str] | None = None) -> int:
         )
         written = emit_outputs(args.out, run=result)
     elif args.command == "mc":
-        snr_list = [float(s) for s in args.snr.split(",") if s.strip()]
         report = monte_carlo_rmse(
-            scenario, snr_list, args.trials, method=args.method,
+            scenario, args.snr, args.trials, method=args.method,
             seed=args.seed, jobs=args.jobs, grid=grid,
             code_kind=args.code_kind, drop_failures=args.drop_failures,
             clutter_mode="scenario" if args.keep_clutter else "off",
             baseline_gate_music=args.gate_music,
         )
         written = emit_outputs(args.out, rmse=report, extra_config={
-            "snr_db": snr_list, "trials": args.trials, "jobs": args.jobs,
+            "snr_db": args.snr, "trials": args.trials, "jobs": args.jobs,
         })
     else:  # grids
         result = run_scenario(

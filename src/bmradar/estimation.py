@@ -76,7 +76,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .channel import DataCube
 from .extender import BlockerSet, VirtualSnapshots
 from .manifold import _code_rows, spatial_manifold, temporal_signature, transformation_matrix
-from .scenario import Scenario, SystemConfig, derive_params
+from .scenario import Scenario, SystemConfig
 from .waveform import CodeMatrix, SymbolSequence
 
 __all__ = [
@@ -148,8 +148,10 @@ class SubspaceBasis:
 class GridSpec:
     """Search grids; None fields are filled from the scenario defaults.
 
-    A step that is not finite and > 0, or an empty axis, raises a
-    ValueError whose message starts with the field's name.
+    A step that is not finite and > 0, or too fine to advance the 0-180
+    degree angle axis in floating point, a refine half-width that is not
+    finite and >= 0, or an empty axis, raises a ValueError whose message
+    starts with the field's name.
     """
 
     range_bins: np.ndarray | None = None
@@ -165,6 +167,13 @@ class GridSpec:
             step = getattr(self, name)
             if not (math.isfinite(step) and step > 0):
                 raise ValueError(f"{name}: must be finite and > 0 (got {step})")
+            # below the float spacing at 180 degrees the angle axis cannot
+            # advance, and np.arange's node count overflows an index
+            if not 180.0 + step > 180.0:
+                raise ValueError(f"{name}: {step} is too fine for the 0-180 degree axis")
+        half = self.angle_refine_halfwidth_deg
+        if not (math.isfinite(half) and half >= 0):
+            raise ValueError(f"angle_refine_halfwidth_deg: must be finite and >= 0 (got {half})")
         for name in ("range_bins", "doppler_hz", "theta_deg", "theta_bar_deg"):
             axis = getattr(self, name)
             if axis is not None and np.size(axis) == 0:
@@ -180,14 +189,13 @@ def default_grid(scenario: Scenario, spec: GridSpec | None = None) -> GridSpec:
     """
     spec = spec or GridSpec()
     system = scenario.system
-    derived = derive_params(scenario)
     range_bins = spec.range_bins
     if range_bins is None:
         range_bins = np.arange(0, system.fast_time_bins - system.code_length + 1)
     doppler = spec.doppler_hz
     if doppler is None:
         doppler = np.linspace(
-            -derived.prf_hz / 2.0, derived.prf_hz / 2.0, system.pris_per_cpi + 1
+            -system.prf_hz / 2.0, system.prf_hz / 2.0, system.pris_per_cpi + 1
         )
     theta = spec.theta_deg
     if theta is None:
@@ -530,7 +538,7 @@ def doppler_refine(
     result is wrapped into (-PRF/2, PRF/2].
     """
     n_s = cube.pri_count
-    prf = 1.0 / system.pri_s
+    prf = system.prf_hz
     z = despread_gate(cube, codes, d_hat)
     z = z * np.asarray(symbols.symbols, dtype=float)[:, None]
 
@@ -658,10 +666,8 @@ def xi2_surface(
     """
     theta_deg = np.atleast_1d(np.asarray(theta_deg, dtype=float))
     theta_bar_deg = np.atleast_1d(np.asarray(theta_bar_deg, dtype=float))
-    scen = context.scenario
-    wavelength_m = derive_params(scen).wavelength_m
-    s_rx = spatial_manifold(scen.rx_array, theta_deg, 0.0, wavelength_m, "rx")
-    s_tx = spatial_manifold(scen.tx_array, theta_bar_deg, 0.0, wavelength_m, "tx")
+    s_rx = spatial_manifold(context.scenario, "rx", theta_deg)
+    s_tx = spatial_manifold(context.scenario, "tx", theta_bar_deg)
     tx_pairs = _tx_pairs(s_tx)
     indices = range(len(context.estimates)) if context_index is None else [context_index]
     out = np.empty((len(indices), len(theta_deg), len(theta_bar_deg)), dtype=float)

@@ -181,8 +181,7 @@ def run_scenario(
         nonlocal coarse
         blockers = build_blockers(codes, refined, system)
         context = prepare_xi2_context(
-            VirtualSnapshots(cube.samples, blockers), blockers, refined, codes,
-            scenario, signal_dim=k_eff,
+            VirtualSnapshots(cube.samples, blockers), blockers, refined, codes, scenario
         )
         metadata["stage2"] = _subspace_diagnostics(context.basis)
         # xi2 is flat along the angle of a one-element array, whose search
@@ -372,6 +371,8 @@ def monte_carlo_rmse(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if len(snr_db_list) == 0:
+        raise ValueError("snr_db_list is empty: a sweep needs at least one SNR point")
     if clutter_mode not in ("off", "scenario"):
         raise ValueError("clutter_mode must be 'off' or 'scenario'")
     if not scenario.targets:

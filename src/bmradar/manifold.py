@@ -3,7 +3,8 @@
 Conventions used throughout the package:
 
 * Tx steering uses exp(+j r.k), Rx uses exp(-j r.k), with the wavenumber
-  k = (2*pi/lambda) * unit(azimuth, elevation).
+  k = (2*pi/lambda) * unit(azimuth) in the array plane, lambda the
+  carrier wavelength of the scenario.
 * Fast-time sample index runs 1..L inside a PRI when it appears in a
   Doppler phase.
 * The combined Tx/Rx/fast-time vector is ordered (tx antenna m, rx
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scenario import ArrayGeometry, Scenario, SystemConfig, derive_params
+from .scenario import Scenario, SystemConfig
 
 __all__ = [
     "direction_unit_vector",
@@ -29,40 +30,30 @@ __all__ = [
 ]
 
 
-def direction_unit_vector(theta_deg, phi_deg=0.0) -> np.ndarray:
-    """Unit vector for azimuth theta and elevation phi (degrees).
+def direction_unit_vector(theta_deg) -> np.ndarray:
+    """Unit vector in the array plane for azimuth theta (degrees); the z
+    row is zero.
 
-    Scalar angles give shape (3,); array angles broadcast to (3, ...).
+    Scalar angles give shape (3,); array angles give (3, ...).
     """
     th = np.radians(theta_deg)
-    ph = np.radians(phi_deg)
-    th, ph = np.broadcast_arrays(th, ph)
-    return np.stack(
-        [np.cos(th) * np.cos(ph), np.sin(th) * np.cos(ph), np.sin(ph)]
-    )
+    return np.stack([np.cos(th), np.sin(th), np.zeros_like(th)])
 
 
-def spatial_manifold(
-    geometry: ArrayGeometry | np.ndarray,
-    theta_deg,
-    phi_deg: float = 0.0,
-    wavelength_m: float = 1.0,
-    side: str = "rx",
-) -> np.ndarray:
-    """Array response for a plane wave from (theta, phi).
+def spatial_manifold(scenario: Scenario, side: str, theta_deg) -> np.ndarray:
+    """Response of the scenario's side ("tx" or "rx") array to a plane
+    wave from azimuth theta_deg at the carrier wavelength.
 
     side="tx" uses the +j exponent, side="rx" the -j exponent.  Every entry
     has unit modulus.  theta_deg may be an array, in which case the result
     is (elements, angles).
     """
-    if wavelength_m <= 0:
-        raise ValueError("wavelength_m must be > 0")
     if side not in ("tx", "rx"):
         raise ValueError("side must be 'tx' or 'rx'")
-    coords = geometry.matrix if isinstance(geometry, ArrayGeometry) else np.asarray(geometry, float)
-    k = (2.0 * np.pi / wavelength_m) * direction_unit_vector(theta_deg, phi_deg)
+    geometry = scenario.tx_array if side == "tx" else scenario.rx_array
+    k = (2.0 * np.pi / scenario.system.wavelength_m) * direction_unit_vector(theta_deg)
     sign = 1.0 if side == "tx" else -1.0
-    return np.exp(1j * sign * np.tensordot(coords.T, k, axes=(1, 0)))
+    return np.exp(1j * sign * np.tensordot(geometry.matrix.T, k, axes=(1, 0)))
 
 
 def doppler_phase_vector(f_hz: float, system: SystemConfig) -> np.ndarray:
@@ -123,9 +114,8 @@ def extended_manifold(
     Ordering is (tx antenna, rx antenna, fast time), i.e.
     conj(tx_manifold) kron rx_manifold kron temporal_signature.
     """
-    derived = derive_params(scenario)
-    s_rx = spatial_manifold(scenario.rx_array, theta_deg, 0.0, derived.wavelength_m, "rx")
-    s_tx = spatial_manifold(scenario.tx_array, theta_bar_deg, 0.0, derived.wavelength_m, "tx")
+    s_rx = spatial_manifold(scenario, "rx", theta_deg)
+    s_tx = spatial_manifold(scenario, "tx", theta_bar_deg)
     temporal = temporal_signature(codes, d, f_hz, scenario.system)
     return np.kron(np.conj(s_tx), np.kron(s_rx, temporal))
 

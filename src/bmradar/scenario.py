@@ -25,12 +25,10 @@ __all__ = [
     "ArrayGeometry",
     "TargetSpec",
     "Scenario",
-    "DerivedParams",
     "default_scenario",
     "load_scenario",
     "save_scenario",
     "scenario_to_dict",
-    "derive_params",
     "truth_from_geometry",
 ]
 
@@ -115,6 +113,19 @@ class SystemConfig:
     @property
     def cpi_s(self) -> float:
         return self.pris_per_cpi * self.pri_s
+
+    @property
+    def wavelength_m(self) -> float:
+        return SPEED_OF_LIGHT / self.carrier_frequency_hz
+
+    @property
+    def prf_hz(self) -> float:
+        return 1.0 / self.pri_s
+
+    @property
+    def range_bin_m(self) -> float:
+        """Metres per compressed range bin: c times one chip."""
+        return SPEED_OF_LIGHT * self.chip_period_s
 
 
 @dataclass(frozen=True)
@@ -216,28 +227,6 @@ class Scenario:
         return replace(self, system=replace(self.system, **changes))
 
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Quantities derived from SystemConfig, SI units."""
-
-    wavelength_m: float
-    prf_hz: float
-    doppler_bin_hz: float
-    range_bin_m: float
-
-
-def derive_params(scenario: Scenario) -> DerivedParams:
-    sys_cfg = scenario.system
-    wavelength = SPEED_OF_LIGHT / sys_cfg.carrier_frequency_hz
-    prf = 1.0 / sys_cfg.pri_s
-    return DerivedParams(
-        wavelength_m=wavelength,
-        prf_hz=prf,
-        doppler_bin_hz=prf / sys_cfg.pris_per_cpi,
-        range_bin_m=SPEED_OF_LIGHT * sys_cfg.chip_period_s,
-    )
-
-
 def _delay_bins(target: TargetSpec) -> int:
     """Echo delay in whole chips: the floor of the bistatic range in bins."""
     return int(math.floor(target.tx_range_bins + target.rx_range_bins + 1e-12))
@@ -251,13 +240,12 @@ def truth_from_geometry(target: TargetSpec, system: SystemConfig) -> tuple[int, 
     uses the half-bistatic-angle projection of the velocity.
     """
     d_true = _delay_bins(target)
-    wavelength = SPEED_OF_LIGHT / system.carrier_frequency_hz
     f_true = (
-        (2.0 * target.velocity_mps / wavelength)
+        (2.0 * target.velocity_mps / system.wavelength_m)
         * math.cos(math.radians(target.motion_angle_deg))
         * math.cos(math.radians(target.bistatic_angle_deg) / 2.0)
     )
-    prf = 1.0 / system.pri_s
+    prf = system.prf_hz
     if abs(f_true) > prf / 2.0:
         warnings.warn(
             f"Doppler {f_true:.2f} Hz exceeds +-PRF/2 = {prf / 2:.2f} Hz; "

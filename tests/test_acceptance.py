@@ -104,7 +104,7 @@ class TestCriterion3DopplerEstimation:
 
     def test_unrefined_within_half_doppler_bin(self, paper):
         # same seeded cubes as the clutter fixture, Doppler left unrefined
-        bound = b.derive_params(paper).prf_hz / (2 * paper.system.pris_per_cpi)
+        bound = paper.system.prf_hz / (2 * paper.system.pris_per_cpi)
         truths = {d: f for d, f in
                   (b.truth_from_geometry(t, paper.system) for t in paper.targets)}
         grid = est.default_grid(paper)
@@ -252,10 +252,9 @@ class TestCriterion6PropertySuites:
             assert cosang >= 1 - 1e-8
 
         # combined response equals the explicit triple loop exactly
-        d_par = b.derive_params(tiny)
         h_t = b.extended_manifold(120.0, 60.0, 5, 800.0, tiny, codes_t)
-        s_rx = b.spatial_manifold(tiny.rx_array, 120.0, 0.0, d_par.wavelength_m, "rx")
-        s_tx = b.spatial_manifold(tiny.tx_array, 60.0, 0.0, d_par.wavelength_m, "tx")
+        s_rx = b.spatial_manifold(tiny, "rx", 120.0)
+        s_tx = b.spatial_manifold(tiny, "tx", 60.0)
         sig = b.temporal_signature(codes_t, 5, 800.0, tiny.system)
         for m in range(2):
             for i in range(2):

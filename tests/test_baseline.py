@@ -134,20 +134,14 @@ class TestMusicDoaSpectrum:
             targets=paper_scenario.targets[:1],
         )
         cube, *_ = clean_cube(s)
-        d_par = b.derive_params(s)
-        _, peaks = bl.music_doa_spectrum(
-            cube, s.rx_array, d_par.wavelength_m, 1, np.arange(0, 180.01, 0.5), 0.01
-        )
+        _, peaks = bl.music_doa_spectrum(cube, s, 1, np.arange(0, 180.01, 0.5), 0.01)
         assert peaks[0] == pytest.approx(150.0, abs=0.5)
 
     def test_three_targets_at_20db(self, paper_scenario):
         s = paper_scenario.with_system(scr_db=float("inf"))
         codes, symbols = build_waveform(s)
         cube = b.synthesize_cube(s, codes, symbols, np.random.default_rng(21))
-        d_par = b.derive_params(s)
-        _, peaks = bl.music_doa_spectrum(
-            cube, s.rx_array, d_par.wavelength_m, 3, np.arange(0, 180.01, 0.5), 0.01
-        )
+        _, peaks = bl.music_doa_spectrum(cube, s, 3, np.arange(0, 180.01, 0.5), 0.01)
         assert sorted(round(p) for p in peaks) == [100, 130, 150]
         for truth in (150.0, 130.0, 100.0):
             assert min(abs(p - truth) for p in peaks) <= 0.5
@@ -158,18 +152,13 @@ class TestMusicDoaSpectrum:
         )
         codes, symbols = build_waveform(s)
         cube = b.synthesize_cube(s, codes, symbols, np.random.default_rng(1))
-        d_par = b.derive_params(s)
-        spec, _ = bl.music_doa_spectrum(
-            cube, s.rx_array, d_par.wavelength_m, 1, np.arange(0, 180.01, 0.5), 0.01
-        )
+        spec, _ = bl.music_doa_spectrum(cube, s, 1, np.arange(0, 180.01, 0.5), 0.01)
         assert spec.max() / spec.min() < 2.0
 
     def test_too_many_sources(self, paper_scenario):
         cube, *_ = clean_cube(paper_scenario)
-        d_par = b.derive_params(paper_scenario)
         with pytest.raises(ValueError, match="resolve"):
-            bl.music_doa_spectrum(cube, paper_scenario.rx_array,
-                                  d_par.wavelength_m, 5, np.arange(0, 180.01, 0.5), 0.01)
+            bl.music_doa_spectrum(cube, paper_scenario, 5, np.arange(0, 180.01, 0.5), 0.01)
 
 
 class TestBaselineEstimate:
@@ -222,10 +211,7 @@ class TestBaselineEstimate:
         s = paper_scenario.with_system(snr_db=30.0, scr_db=float("inf"))
         codes, symbols = build_waveform(s)
         cube = b.synthesize_cube(s, codes, symbols, np.random.default_rng(33))
-        d_par = b.derive_params(s)
         delays = [t.delay_bins for t in cube.truth]
         doas = [100.0, 150.0, 130.0]  # deliberately scrambled
-        pairing = bl.associate_doa_to_range(
-            cube, codes, s.rx_array, d_par.wavelength_m, delays, doas
-        )
+        pairing = bl.associate_doa_to_range(cube, codes, s, delays, doas)
         assert [doas[i] for i in pairing] == [150.0, 130.0, 100.0]

@@ -11,7 +11,7 @@ from conftest import build_waveform, clean_cube, make_tiny_scenario
 
 class TestPathGain:
     def test_rcs_proportionality(self, paper_scenario):
-        d = b.derive_params(paper_scenario)
+        d = paper_scenario.system
         rng = np.random.default_rng(0)
         t1 = paper_scenario.targets[0]
         t4 = replace(t1, rcs_mean_m2=4.0 * t1.rcs_mean_m2)
@@ -20,7 +20,7 @@ class TestPathGain:
         assert g4.magnitude == pytest.approx(2.0 * g1.magnitude)
 
     def test_range_proportionality(self, paper_scenario):
-        d = b.derive_params(paper_scenario)
+        d = paper_scenario.system
         rng = np.random.default_rng(0)
         t1 = paper_scenario.targets[0]
         t2 = replace(t1, tx_range_bins=2 * t1.tx_range_bins,
@@ -31,7 +31,7 @@ class TestPathGain:
 
     def test_absolute_magnitude(self, paper_scenario):
         # frozen evaluation of the two-way gain formula for target 1
-        d = b.derive_params(paper_scenario)
+        d = paper_scenario.system
         rng = np.random.default_rng(0)
         g = b.path_gain(paper_scenario.targets[0], d, rng)
         bin_m = b.SPEED_OF_LIGHT * 1e-6
@@ -42,7 +42,7 @@ class TestPathGain:
         assert g.magnitude == pytest.approx(expected, rel=1e-12)
 
     def test_carrier_phase_term(self, paper_scenario):
-        d = b.derive_params(paper_scenario)
+        d = paper_scenario.system
 
         class _FixedRng:
             def uniform(self, lo, hi):
@@ -53,10 +53,12 @@ class TestPathGain:
         assert g.phase_rad == pytest.approx(expected)
 
     def test_zero_range_rejected(self, paper_scenario):
-        d = b.derive_params(paper_scenario)
-        t = replace(paper_scenario.targets[0], tx_range_bins=1e-30)
-        d0 = replace(d, range_bin_m=0.0)
-        with pytest.raises(ValueError):
+        # a valid chip period and a valid positive range whose product
+        # underflows to 0.0 m
+        d0 = replace(paper_scenario.system, chip_period_s=1e-30)
+        t = replace(paper_scenario.targets[0], tx_range_bins=5e-324)
+        assert t.tx_range_bins * d0.range_bin_m == 0.0
+        with pytest.raises(ValueError, match="target ranges must be positive"):
             b.path_gain(t, d0, np.random.default_rng(0))
 
 
@@ -162,16 +164,13 @@ class TestImpulseResponseOracle:
         s = make_tiny_scenario()
         cube, codes, symbols, states = clean_cube(s)
         system = s.system
-        d_par = b.derive_params(s)
         state = states[0]
         target = s.targets[0]
         n_s, L = system.pris_per_cpi, system.fast_time_bins
 
         m_matrix = b.symbol_matrix(symbols, codes)  # (n_bar, n_s * L)
-        s_rx = b.spatial_manifold(s.rx_array, target.doa_deg, 0.0,
-                                  d_par.wavelength_m, "rx")
-        s_tx = b.spatial_manifold(s.tx_array, target.dod_deg, 0.0,
-                                  d_par.wavelength_m, "tx")
+        s_rx = b.spatial_manifold(s, "rx", target.doa_deg)
+        s_tx = b.spatial_manifold(s, "tx", target.dod_deg)
         beta = state.gain.value
         amp = np.sqrt(state.rcs_draws / target.rcs_mean_m2)
         f = state.truth.doppler_hz

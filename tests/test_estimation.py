@@ -61,6 +61,25 @@ class TestGridSpec:
         with pytest.raises(ValueError, match=rf"^{name}: must be finite and > 0"):
             est.GridSpec(**{name: step})
 
+    @pytest.mark.parametrize("name", ["angle_step_deg", "angle_refine_step_deg"])
+    @pytest.mark.parametrize("step", [1e-300, 1e-15])
+    def test_step_too_fine_for_the_angle_axis_names_the_field(self, name, step):
+        # 180 + step rounds back to 180: np.arange could not advance
+        with pytest.raises(ValueError, match=rf"^{name}: .* too fine"):
+            est.GridSpec(**{name: step})
+
+    def test_finest_resolvable_step_is_accepted(self):
+        step = np.spacing(180.0)
+        assert est.GridSpec(angle_refine_step_deg=step).angle_refine_step_deg == step
+
+    @pytest.mark.parametrize("half", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_bad_refine_halfwidth_names_the_field(self, half):
+        # construction only: a search at such a value would build a
+        # 0-180 degree local grid at the refine step
+        with pytest.raises(ValueError,
+                           match=r"^angle_refine_halfwidth_deg: must be finite and >= 0"):
+            est.GridSpec(angle_refine_halfwidth_deg=half)
+
     @pytest.mark.parametrize("name", ["range_bins", "doppler_hz", "theta_deg",
                                       "theta_bar_deg"])
     def test_empty_axis_names_the_field(self, name):
@@ -468,7 +487,7 @@ class TestXi1:
         last = system.fast_time_bins - system.code_length
         # both edge delays, descending, more than one delay block on paper
         delays = np.unique(np.linspace(0, last, 40).astype(int))[::-1]
-        prf = b.derive_params(scenario).prf_hz
+        prf = scenario.system.prf_hz
         dopplers = prf * np.array([-0.5, -0.31, -0.02, 0.0, 0.11, 0.5])
         surf = est.xi1_surface(codes, basis, system, delays, dopplers)
         single = est.xi1_surface(codes, basis, system, delays, dopplers[4:5])
@@ -704,7 +723,7 @@ class TestDopplerRefine:
             assert abs(f_hat - t.doppler_hz) <= 2.0
 
     def test_unrefined_error_bounded_by_half_bin(self, paper_scenario):
-        d_par = b.derive_params(paper_scenario)
+        d_par = paper_scenario.system
         codes, symbols = build_waveform(paper_scenario)
         cube = b.synthesize_cube(paper_scenario, codes, symbols,
                                  np.random.default_rng(14))
@@ -792,7 +811,6 @@ class TestXi2:
 
         u = ctx.basis.basis
         p_nv = np.eye(u.shape[0]) - u @ u.conj().T
-        d_par = b.derive_params(s)
         n_bar, n_rx, L = 2, 2, 14
         p_blocks = []
         for m in range(n_bar):
@@ -836,9 +854,8 @@ class TestXi2HermitianForm:
                                     estimates, codes, s)
         theta = np.arange(0.0, 180.0 + 1e-9, 0.5)
         theta_bar = np.arange(20.0, 160.0, 0.37)
-        wavelength_m = b.derive_params(s).wavelength_m
-        s_rx = b.spatial_manifold(s.rx_array, theta, 0.0, wavelength_m, "rx")
-        s_tx = b.spatial_manifold(s.tx_array, theta_bar, 0.0, wavelength_m, "tx")
+        s_rx = b.spatial_manifold(s, "rx", theta)
+        s_tx = b.spatial_manifold(s, "tx", theta_bar)
         pairs = est._tx_pairs(s_tx)
         for ki in range(len(estimates)):
             got = est._signal_power(ctx.basis_phi[ki], s_rx, pairs)

@@ -257,6 +257,14 @@ class TestMonteCarlo:
             b.monte_carlo_rmse(replace(paper_scenario, targets=()), [20.0], 2)
         assert calls == []
 
+    def test_sweep_without_snr_points_is_rejected_before_any_trial(
+            self, paper_scenario, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_scenario", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="snr_db_list is empty"):
+            b.monte_carlo_rmse(paper_scenario, [], 2)
+        assert calls == []
+
     def test_clutter_mode_scenario_keeps_level(self):
         s = make_tiny_scenario(snr_db=20.0, scr_db=0.0, n_s=32)
         r = b.monte_carlo_rmse(s, [20.0], trials=1, method="vst", seed=1,
@@ -648,6 +656,10 @@ class TestGridCsv:
         assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def _no_synthesis(*args, **kwargs):
+    raise AssertionError("a usage error must stop the command before synthesis")
+
+
 class TestCli:
     def _write_tiny(self, tmp_path):
         s = make_tiny_scenario(snr_db=20.0, scr_db=float("inf"), n_s=32)
@@ -704,6 +716,10 @@ class TestCli:
         ("--doppler-step", "-1", "doppler_hz"),
         ("--doppler-step", "0", "doppler_hz"),
         ("--doppler-step", "inf", "doppler_hz"),
+        # too fine to advance the axis: np.arange's node count would overflow
+        ("--angle-step", "1e-300", "angle_step_deg"),
+        ("--angle-refine-step", "1e-300", "angle_refine_step_deg"),
+        ("--doppler-step", "1e-300", "doppler_hz"),
     ])
     def test_bad_grid_step_is_a_usage_error(self, tmp_path, capsys, command, flag, value,
                                             field):
@@ -714,6 +730,40 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: {field}:" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "grids"])
+    @pytest.mark.parametrize("value", ["0", "-1", "14"])
+    def test_known_k_outside_the_fast_time_span_is_a_usage_error(
+            self, tmp_path, capsys, monkeypatch, command, value):
+        # the tiny scenario has 14 fast-time bins: k must lie in (0, 14)
+        monkeypatch.setattr(harness, "synthesize_cube", _no_synthesis)
+        scen = self._write_tiny(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--scenario", str(scen), "--out", str(tmp_path / "out"),
+                      "--known-k", value])
+        assert exc.value.code == 2
+        assert "argument --known-k: must be in (0, 14)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--trials", "0"], "argument --trials: must be >= 1"),
+        (["--trials", "-3"], "argument --trials: must be >= 1"),
+        (["--snr", "abc"], "argument --snr: not a comma-separated list of numbers"),
+        (["--snr", "10,x"], "argument --snr: not a comma-separated list of numbers"),
+        (["--snr", ","], "argument --snr: needs at least one SNR point"),
+        (["--snr", ""], "argument --snr: needs at least one SNR point"),
+        (["--snr", "10,nan"], "argument --snr: SNR points must not be nan or -inf"),
+        (["--snr=-inf"], "argument --snr: SNR points must not be nan or -inf"),
+    ])
+    def test_bad_sweep_flag_is_a_usage_error(self, tmp_path, capsys, monkeypatch, args,
+                                             message):
+        monkeypatch.setattr(harness, "synthesize_cube", _no_synthesis)
+        scen = self._write_tiny(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["mc", "--scenario", str(scen), "--out", str(tmp_path / "out"), *args])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_grids_subcommand(self, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,71 +30,113 @@ def _reference_transformation(codes, d, f_hz, system):
     return shifted * b.doppler_phase_vector(f_hz, system)[:, None]
 
 
+def _reference_direction(theta_deg, phi_deg=0.0):
+    """Reference: the general azimuth/elevation unit vector, whose
+    elevation-0 case the in-plane vector must equal bit for bit."""
+    th = np.radians(theta_deg)
+    ph = np.radians(phi_deg)
+    th, ph = np.broadcast_arrays(th, ph)
+    return np.stack(
+        [np.cos(th) * np.cos(ph), np.sin(th) * np.cos(ph), np.sin(ph)]
+    )
+
+
+def _reference_manifold(geometry, theta_deg, wavelength_m, side):
+    """Reference: the steering vector of an explicit geometry and
+    wavelength, built from the general unit vector at elevation 0."""
+    k = (2.0 * np.pi / wavelength_m) * _reference_direction(theta_deg, 0.0)
+    sign = 1.0 if side == "tx" else -1.0
+    return np.exp(1j * sign * np.tensordot(geometry.matrix.T, k, axes=(1, 0)))
+
+
 class TestDirectionUnitVector:
     def test_boresight(self):
-        assert b.direction_unit_vector(0.0, 0.0) == pytest.approx((1.0, 0.0, 0.0))
+        assert b.direction_unit_vector(0.0) == pytest.approx((1.0, 0.0, 0.0))
 
     def test_broadside(self):
-        assert b.direction_unit_vector(90.0, 0.0) == pytest.approx((0.0, 1.0, 0.0))
+        assert b.direction_unit_vector(90.0) == pytest.approx((0.0, 1.0, 0.0))
 
     def test_150_degrees(self):
         # direct trigonometric evaluation
-        v = b.direction_unit_vector(150.0, 0.0)
+        v = b.direction_unit_vector(150.0)
         assert v == pytest.approx((-0.8660254, 0.5, 0.0), abs=1e-6)
 
     def test_unit_norm_everywhere(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            th, ph = rng.uniform(-180, 180), rng.uniform(-90, 90)
-            assert np.linalg.norm(b.direction_unit_vector(th, ph)) == pytest.approx(1.0)
+            th = rng.uniform(-180, 180)
+            assert np.linalg.norm(b.direction_unit_vector(th)) == pytest.approx(1.0)
+
+    def test_bit_equal_to_zero_elevation_reference(self):
+        grid = np.arange(0.0, 180.0 + 1e-9, 0.37)
+        for theta in (0.0, 37.5, 150.0, grid):
+            v = b.direction_unit_vector(theta)
+            ref = _reference_direction(theta)
+            assert v.shape == ref.shape
+            assert v.tobytes() == ref.tobytes()
 
 
 class TestSpatialManifold:
-    def test_zenith_gives_ones_for_planar_array(self, paper_scenario):
-        d = b.derive_params(paper_scenario)
-        v = b.spatial_manifold(paper_scenario.rx_array, 37.0, 90.0, d.wavelength_m, "rx")
-        assert v == pytest.approx(np.ones(5))
-
-    def test_single_element_at_origin(self):
-        geom = b.ArrayGeometry(((0.0,), (0.0,), (0.0,)))
-        v = b.spatial_manifold(geom, 123.0, 0.0, 0.23, "rx")
+    def test_single_element_at_origin(self, tiny_scenario):
+        origin = b.ArrayGeometry(((0.0,), (0.0,), (0.0,)))
+        s = replace(tiny_scenario, system=replace(tiny_scenario.system, rx_count=1),
+                    rx_array=origin)
+        v = b.spatial_manifold(s, "rx", 123.0)
         assert v == pytest.approx(np.array([1.0 + 0.0j]))
 
     def test_rx_phase_at_150_degrees(self, paper_scenario):
         # scalar evaluation: -(2*pi/lambda) * 0.092 * cos(150 deg) = +2.1709 rad
-        d = b.derive_params(paper_scenario)
+        d = paper_scenario.system
         expected_phase = -(2 * math.pi / d.wavelength_m) * 0.092 * math.cos(math.radians(150.0))
         assert expected_phase == pytest.approx(2.1709, abs=2e-4)
-        v = b.spatial_manifold(paper_scenario.rx_array, 150.0, 0.0, d.wavelength_m, "rx")
+        v = b.spatial_manifold(paper_scenario, "rx", 150.0)
         assert np.angle(v[0]) == pytest.approx(expected_phase, abs=1e-9)
 
-    def test_tx_rx_exponent_signs_conjugate(self, paper_scenario):
-        d = b.derive_params(paper_scenario)
-        tx = b.spatial_manifold(paper_scenario.rx_array, 30.0, 0.0, d.wavelength_m, "tx")
-        rx = b.spatial_manifold(paper_scenario.rx_array, 30.0, 0.0, d.wavelength_m, "rx")
+    def test_tx_rx_exponent_signs_conjugate(self, tiny_scenario):
+        # the tiny scenario's two arrays share one geometry
+        assert tiny_scenario.tx_array == tiny_scenario.rx_array
+        tx = b.spatial_manifold(tiny_scenario, "tx", 30.0)
+        rx = b.spatial_manifold(tiny_scenario, "rx", 30.0)
         assert tx == pytest.approx(np.conj(rx))
 
+    def test_side_picks_the_array(self, paper_scenario):
+        tx = b.spatial_manifold(paper_scenario, "tx", 30.0)
+        rx = b.spatial_manifold(paper_scenario, "rx", 30.0)
+        assert not np.allclose(tx, np.conj(rx))
+        assert tx.shape == (paper_scenario.system.tx_count,)
+        assert rx.shape == (paper_scenario.system.rx_count,)
+
     def test_unit_modulus(self, paper_scenario):
-        d = b.derive_params(paper_scenario)
         rng = np.random.default_rng(1)
         for _ in range(50):
-            th, ph = rng.uniform(0, 180), rng.uniform(-45, 45)
+            th = rng.uniform(0, 180)
             side = "tx" if rng.random() < 0.5 else "rx"
-            geom = paper_scenario.tx_array if side == "tx" else paper_scenario.rx_array
-            v = b.spatial_manifold(geom, th, ph, d.wavelength_m, side)
+            v = b.spatial_manifold(paper_scenario, side, th)
             assert np.max(np.abs(np.abs(v) - 1.0)) < 1e-12
 
     def test_vectorised_angles(self, paper_scenario):
-        d = b.derive_params(paper_scenario)
         grid = np.array([10.0, 20.0, 30.0])
-        v = b.spatial_manifold(paper_scenario.rx_array, grid, 0.0, d.wavelength_m, "rx")
+        v = b.spatial_manifold(paper_scenario, "rx", grid)
         assert v.shape == (5, 3)
-        single = b.spatial_manifold(paper_scenario.rx_array, 20.0, 0.0, d.wavelength_m, "rx")
+        single = b.spatial_manifold(paper_scenario, "rx", 20.0)
         assert v[:, 1] == pytest.approx(single)
 
-    def test_bad_wavelength(self, paper_scenario):
-        with pytest.raises(ValueError):
-            b.spatial_manifold(paper_scenario.rx_array, 0.0, 0.0, 0.0, "rx")
+    def test_bad_side(self, paper_scenario):
+        with pytest.raises(ValueError, match="side"):
+            b.spatial_manifold(paper_scenario, "up", 30.0)
+
+    @pytest.mark.parametrize("name", ["paper", "tiny"])
+    @pytest.mark.parametrize("side", ["tx", "rx"])
+    def test_bit_equal_to_explicit_geometry_reference(self, paper_scenario, name, side):
+        s = paper_scenario if name == "paper" else make_tiny_scenario()
+        geometry = s.tx_array if side == "tx" else s.rx_array
+        wavelength_m = b.SPEED_OF_LIGHT / s.system.carrier_frequency_hz
+        grid = np.arange(0.0, 180.0 + 1e-9, 0.5)
+        for theta in (0.0, 81.2, 150.0, grid):
+            v = b.spatial_manifold(s, side, theta)
+            ref = _reference_manifold(geometry, theta, wavelength_m, side)
+            assert v.shape == ref.shape
+            assert v.tobytes() == ref.tobytes()
 
 
 class TestDopplerPhaseVector:
@@ -102,7 +145,7 @@ class TestDopplerPhaseVector:
         assert v == pytest.approx(np.ones(524))
 
     def test_prf_full_cycle_per_pri(self, paper_scenario):
-        d = b.derive_params(paper_scenario)
+        d = paper_scenario.system
         v = b.doppler_phase_vector(d.prf_hz, paper_scenario.system)
         ell = np.arange(1, 525)
         assert v == pytest.approx(np.exp(2j * np.pi * ell / 524))
@@ -182,11 +225,10 @@ class TestExtendedManifold:
         # brute-force (m, i, t) construction, exact equality
         s = make_tiny_scenario()
         codes, _ = build_waveform(s)
-        d_par = b.derive_params(s)
         theta, theta_bar, delay, dopp = 120.0, 60.0, 5, 800.0
         h = b.extended_manifold(theta, theta_bar, delay, dopp, s, codes)
-        s_rx = b.spatial_manifold(s.rx_array, theta, 0.0, d_par.wavelength_m, "rx")
-        s_tx = b.spatial_manifold(s.tx_array, theta_bar, 0.0, d_par.wavelength_m, "tx")
+        s_rx = b.spatial_manifold(s, "rx", theta)
+        s_tx = b.spatial_manifold(s, "tx", theta_bar)
         sig = b.temporal_signature(codes, delay, dopp, s.system)
         n_bar, n_rx, L = 2, 2, s.system.fast_time_bins
         expected = np.zeros(n_bar * n_rx * L, dtype=complex)

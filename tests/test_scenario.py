@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import bmradar as b
 from bmradar.scenario import ScenarioError, scenario_from_dict, scenario_to_dict
+from conftest import make_tiny_scenario
 
 C = b.SPEED_OF_LIGHT
 
@@ -46,25 +47,28 @@ class TestDefaultScenario:
 
     def test_prf_holds_fastest_target(self, paper_scenario):
         # chip period chosen so the largest Doppler stays unambiguous
-        d = b.derive_params(paper_scenario)
+        d = paper_scenario.system
         assert d.prf_hz == pytest.approx(1.0 / 524e-6)
         assert 475.94 < d.prf_hz / 2.0
 
 
 class TestDerivedParams:
     def test_wavelength(self, paper_scenario):
-        d = b.derive_params(paper_scenario)
+        d = paper_scenario.system
         assert d.wavelength_m == pytest.approx(C / 1.3e9, rel=1e-12)
         assert d.wavelength_m == pytest.approx(0.230609, abs=1e-6)
 
-    def test_doppler_bin(self, paper_scenario):
-        d = b.derive_params(paper_scenario)
-        assert d.doppler_bin_hz == pytest.approx(d.prf_hz / 256, rel=1e-12)
-        assert d.doppler_bin_hz == pytest.approx(7.455, abs=1e-3)
-
     def test_range_bin_metres(self, paper_scenario):
-        d = b.derive_params(paper_scenario)
+        d = paper_scenario.system
         assert d.range_bin_m == pytest.approx(C * 1e-6, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["paper", "tiny"])
+    def test_properties_bit_equal_to_the_formulas(self, paper_scenario, name):
+        # each property is exactly its closed-form expression
+        system = paper_scenario.system if name == "paper" else make_tiny_scenario().system
+        assert system.wavelength_m == C / system.carrier_frequency_hz
+        assert system.prf_hz == 1.0 / system.pri_s
+        assert system.range_bin_m == C * system.chip_period_s
 
     def test_zero_carrier_rejected(self):
         with pytest.raises(ScenarioError, match="carrier_frequency_hz"):
