@@ -61,7 +61,6 @@ from .estimation import (
     temporal_covariance,
     xi1_cost,
     xi1_surface,
-    xi2_cost,
     xi2_surface,
 )
 from .baseline import (

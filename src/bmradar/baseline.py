@@ -49,7 +49,6 @@ class EllipseParams:
     """Bistatic ellipse in compressed-bin units (sites at the foci)."""
 
     semi_major: float
-    semi_minor: float
     eccentricity: float
 
 
@@ -62,12 +61,7 @@ def ellipse_params(r_bi: float, l_bi: float) -> EllipseParams:
             f"bistatic range {r_bi} does not exceed baseline {l_bi}: degenerate ellipse"
         )
     a = r_bi / 2.0
-    c = l_bi / 2.0
-    return EllipseParams(
-        semi_major=a,
-        semi_minor=math.sqrt(a * a - c * c),
-        eccentricity=c / a,
-    )
+    return EllipseParams(semi_major=a, eccentricity=(l_bi / 2.0) / a)
 
 
 def split_bistatic_range(
@@ -213,44 +207,35 @@ def baseline_estimate(
     stage1: list[tuple[int, float]],
     grid: GridSpec,
     gate_music: bool = False,
-) -> list[dict]:
-    """Geometric estimates for each stage-1 (delay, Doppler) target.
+) -> list[tuple[float, float | None, str | None]]:
+    """Geometric (DOA, DOD, error) for each stage-1 (delay, Doppler)
+    target, in stage-1 order.
 
     The default takes the whole-cube MUSIC spectrum's peaks and pairs them
     with the range gates by despread beam power.  gate_music=True instead
     runs single-source MUSIC on each despread gate, which trades
     multi-source resolution within a gate for robustness to fluctuation
-    fades (and makes the gate/direction pairing intrinsic).
-
-    Returns one dict per target with keys delay_bins, doppler_hz, doa_deg,
-    dod_deg, rx_range_bins, tx_range_bins; entries whose geometry is
-    degenerate carry an 'error' key instead of angles.
+    fades (and makes the gate/direction pairing intrinsic).  Where the
+    gate's ellipse geometry is degenerate, DOD is None and error says why;
+    otherwise error is None.
     """
     delays = [d for d, _ in stage1]
     if gate_music:
-        doas = [gate_music_doa(cube, codes, scenario, d, grid.theta_deg,
+        doas = [gate_music_doa(cube, codes, scenario, d, grid.angle_deg,
                                grid.angle_refine_step_deg)
                 for d in delays]
         pairing = list(range(len(delays)))
     else:
-        _, doas = music_doa_spectrum(cube, scenario, len(delays), grid.theta_deg,
+        _, doas = music_doa_spectrum(cube, scenario, len(delays), grid.angle_deg,
                                      grid.angle_refine_step_deg)
         pairing = associate_doa_to_range(cube, codes, scenario, delays, doas)
     out = []
-    for (d, f), doa_idx in zip(stage1, pairing):
+    for d, doa_idx in zip(delays, pairing):
         theta = doas[doa_idx]
-        entry = {
-            "delay_bins": d,
-            "doppler_hz": f,
-            "doa_deg": theta,
-        }
         try:
             ellipse = ellipse_params(float(d), scenario.system.baseline_bins)
-            r_rx, r_tx = split_bistatic_range(ellipse, theta, float(d))
-            entry["rx_range_bins"] = r_rx
-            entry["tx_range_bins"] = r_tx
-            entry["dod_deg"] = dod_from_geometry(ellipse, r_tx)
+            _, r_tx = split_bistatic_range(ellipse, theta, float(d))
+            out.append((theta, dod_from_geometry(ellipse, r_tx), None))
         except GeometryError as exc:
-            entry["error"] = str(exc)
-        out.append(entry)
+            out.append((theta, None, str(exc)))
     return out

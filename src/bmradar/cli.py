@@ -5,6 +5,9 @@ Subcommands:
   mc     Monte Carlo RMSE over an SNR sweep, write rmse.csv (+ failures.csv)
   grids  one CPI, write the stage-1 and stage-2 cost surfaces as CSV
 
+A stage-1 search that finds fewer peaks than the target count ends run
+and grids with one error line and exit status 1, before any output.
+
 The bundled default scenario is used when --scenario is omitted.
 """
 
@@ -16,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .estimation import GridSpec
+from .estimation import GridSpec, PeakError
 from .harness import emit_outputs, monte_carlo_rmse, run_scenario
 from .scenario import default_scenario_path, load_scenario
 
@@ -46,23 +49,31 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="scenario JSON (default: bundled paper.json)")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--method", choices=("vst", "baseline", "both"), default="both")
     p.add_argument("--code-kind", choices=("mseq", "gold"), default="mseq",
                    help="spreading code family")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--known-k", type=int, default=None,
-                       help="target count to estimate (default: scenario truth)")
-    group.add_argument("--estimate-k", action="store_true",
-                       help="estimate the target count from the eigen spectrum")
     p.add_argument("--angle-step", type=float, default=0.5,
                    help="coarse direction grid step, degrees")
     p.add_argument("--angle-refine-step", type=float, default=0.01,
                    help="local refinement grid step, degrees")
     p.add_argument("--doppler-step", type=float, default=None,
                    help="stage-1 Doppler grid step, Hz (default: one Doppler bin)")
+
+
+def _add_methods(p: argparse.ArgumentParser) -> None:
+    """Estimator choice: run and mc (grids always runs v-ST)."""
+    p.add_argument("--method", choices=("vst", "baseline", "both"), default="both")
     p.add_argument("--gate-music", action="store_true",
                    help="baseline DOA from per-gate MUSIC instead of the "
                         "whole-cube spectrum")
+
+
+def _add_target_count(p: argparse.ArgumentParser) -> None:
+    """Target count: run and grids (mc trials use the scenario's)."""
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--known-k", type=int, default=None,
+                       help="target count to estimate (default: scenario truth)")
+    group.add_argument("--estimate-k", action="store_true",
+                       help="estimate the target count from the eigen spectrum")
 
 
 def _grid_from_args(args, scenario) -> GridSpec:
@@ -92,6 +103,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="single-CPI estimation")
     _add_common(p_run)
+    _add_methods(p_run)
+    _add_target_count(p_run)
     p_run.add_argument("--dump-cube", default=None,
                        help="also write the raw cube (binary + JSON sidecar)")
     p_run.add_argument("--no-refine-doppler", action="store_true",
@@ -99,10 +112,12 @@ def main(argv: list[str] | None = None) -> int:
 
     p_mc = sub.add_parser("mc", help="Monte Carlo RMSE sweep")
     _add_common(p_mc)
+    _add_methods(p_mc)
     p_mc.add_argument("--snr", type=_snr_list, default="0,5,10,15,20",
                       help="comma-separated SNR points in dB")
     p_mc.add_argument("--trials", type=_positive_int, default=100)
-    p_mc.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_mc.add_argument("--jobs", type=_positive_int, default=1,
+                      help="parallel workers (at most one per trial and usable core)")
     p_mc.add_argument("--drop-failures", action="store_true",
                       help="exclude failed detections from the RMSE mean")
     p_mc.add_argument("--keep-clutter", action="store_true",
@@ -110,15 +125,12 @@ def main(argv: list[str] | None = None) -> int:
 
     p_grids = sub.add_parser("grids", help="emit cost surfaces as CSV")
     _add_common(p_grids)
+    _add_target_count(p_grids)
 
     args = parser.parse_args(argv)
-    if args.command == "mc" and (args.known_k is not None or args.estimate_k):
-        flag = "--known-k" if args.known_k is not None else "--estimate-k"
-        p_mc.error(f"{flag} is not supported: Monte Carlo trials always use the "
-                   f"scenario's target count")
     scenario = _load(args)
     L = scenario.system.fast_time_bins
-    if args.known_k is not None and not 0 < args.known_k < L:
+    if args.command != "mc" and args.known_k is not None and not 0 < args.known_k < L:
         # a basis of all of C^L leaves no noise subspace
         parser.error(f"argument --known-k: must be in (0, {L}) for this scenario "
                      f"(got {args.known_k})")
@@ -130,22 +142,8 @@ def main(argv: list[str] | None = None) -> int:
         if flag is None:
             raise
         parser.error(f"argument {flag}: {exc}")
-    common = dict(
-        grid=grid,
-        code_kind=args.code_kind,
-        k=args.known_k,
-        estimate_k=args.estimate_k,
-        baseline_gate_music=args.gate_music,
-    )
 
-    if args.command == "run":
-        result = run_scenario(
-            scenario, method=args.method, seed=args.seed,
-            refine_doppler=not args.no_refine_doppler,
-            dump_cube_path=args.dump_cube, **common,
-        )
-        written = emit_outputs(args.out, run=result)
-    elif args.command == "mc":
+    if args.command == "mc":
         report = monte_carlo_rmse(
             scenario, args.snr, args.trials, method=args.method,
             seed=args.seed, jobs=args.jobs, grid=grid,
@@ -156,10 +154,19 @@ def main(argv: list[str] | None = None) -> int:
         written = emit_outputs(args.out, rmse=report, extra_config={
             "snr_db": args.snr, "trials": args.trials, "jobs": args.jobs,
         })
-    else:  # grids
-        result = run_scenario(
-            scenario, method="vst", seed=args.seed, store_surfaces=True, **common
-        )
+    else:
+        if args.command == "run":
+            options = dict(method=args.method, refine_doppler=not args.no_refine_doppler,
+                           dump_cube_path=args.dump_cube, baseline_gate_music=args.gate_music)
+        else:  # grids
+            options = dict(method="vst", store_surfaces=True)
+        try:
+            result = run_scenario(scenario, seed=args.seed, grid=grid,
+                                  code_kind=args.code_kind, k=args.known_k,
+                                  estimate_k=args.estimate_k, **options)
+        except PeakError as exc:  # stage 1 found fewer peaks than the target count
+            print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+            return 1
         written = emit_outputs(args.out, run=result)
 
     for path in written:

@@ -68,6 +68,7 @@ float view, exactly Hermitian by construction.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -96,7 +97,6 @@ __all__ = [
     "doppler_refine",
     "Xi2Context",
     "prepare_xi2_context",
-    "xi2_cost",
     "xi2_surface",
     "doa_dod_search",
     "PeakError",
@@ -109,6 +109,9 @@ _XI1_DELAY_BLOCK = 32
 
 # zero-padding factor of the slow-time Doppler periodogram
 _DOPPLER_PAD_FACTOR = 16
+
+# half-width of doa_dod_search's local refine window about a coarse peak
+_ANGLE_REFINE_HALFWIDTH_DEG = 0.75
 
 # subspace_split's block Krylov solver: the seed of its start block, the
 # blocks per restart, the relative residual that stops it and its cap
@@ -138,29 +141,31 @@ class SubspaceBasis:
 
     basis: np.ndarray        # ambient x signal_dim, orthonormal columns
     eigenvalues: np.ndarray  # descending, real, clipped at zero
-    signal_dim: int
     restarts: int = 0
     residual: float = 0.0
     converged: bool = True
 
+    @property
+    def signal_dim(self) -> int:
+        """The subspace dimension: the basis's column count."""
+        return self.basis.shape[1]
+
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Search grids; None fields are filled from the scenario defaults.
+    """Search grids; None axes are filled from the scenario defaults.
 
-    A step that is not finite and > 0, or too fine to advance the 0-180
-    degree angle axis in floating point, a refine half-width that is not
-    finite and >= 0, or an empty axis, raises a ValueError whose message
-    starts with the field's name.
+    Both stage-2 angles and the baseline's DOA scan share one coarse axis,
+    angle_deg, derived from angle_step_deg.  A step that is not finite and
+    > 0, or too fine to advance the 0-180 degree angle axis in floating
+    point, or an empty axis, raises a ValueError whose message starts with
+    the field's name.
     """
 
     range_bins: np.ndarray | None = None
     doppler_hz: np.ndarray | None = None
-    theta_deg: np.ndarray | None = None
-    theta_bar_deg: np.ndarray | None = None
     angle_step_deg: float = 0.5
     angle_refine_step_deg: float = 0.01
-    angle_refine_halfwidth_deg: float = 0.75
 
     def __post_init__(self) -> None:
         for name in ("angle_step_deg", "angle_refine_step_deg"):
@@ -171,21 +176,22 @@ class GridSpec:
             # advance, and np.arange's node count overflows an index
             if not 180.0 + step > 180.0:
                 raise ValueError(f"{name}: {step} is too fine for the 0-180 degree axis")
-        half = self.angle_refine_halfwidth_deg
-        if not (math.isfinite(half) and half >= 0):
-            raise ValueError(f"angle_refine_halfwidth_deg: must be finite and >= 0 (got {half})")
-        for name in ("range_bins", "doppler_hz", "theta_deg", "theta_bar_deg"):
+        for name in ("range_bins", "doppler_hz"):
             axis = getattr(self, name)
             if axis is not None and np.size(axis) == 0:
                 raise ValueError(f"{name}: grid axis is empty")
 
+    @property
+    def angle_deg(self) -> np.ndarray:
+        """The coarse 0..180 degree angle axis at angle_step_deg."""
+        return np.arange(0.0, 180.0 + 1e-9, self.angle_step_deg)
+
 
 def default_grid(scenario: Scenario, spec: GridSpec | None = None) -> GridSpec:
-    """Fill the unset grid axes for a scenario.
+    """Fill the unset delay and Doppler axes for a scenario.
 
     Delays cover every bin a full code fits into; Doppler covers the
-    unambiguous interval at one Doppler-bin spacing; both angle axes cover
-    0..180 degrees at the coarse step.
+    unambiguous interval at one Doppler-bin spacing.
     """
     spec = spec or GridSpec()
     system = scenario.system
@@ -197,21 +203,8 @@ def default_grid(scenario: Scenario, spec: GridSpec | None = None) -> GridSpec:
         doppler = np.linspace(
             -system.prf_hz / 2.0, system.prf_hz / 2.0, system.pris_per_cpi + 1
         )
-    theta = spec.theta_deg
-    if theta is None:
-        theta = np.arange(0.0, 180.0 + 1e-9, spec.angle_step_deg)
-    theta_bar = spec.theta_bar_deg
-    if theta_bar is None:
-        theta_bar = np.arange(0.0, 180.0 + 1e-9, spec.angle_step_deg)
-    return GridSpec(
-        range_bins=np.asarray(range_bins, dtype=int),
-        doppler_hz=np.asarray(doppler, dtype=float),
-        theta_deg=np.asarray(theta, dtype=float),
-        theta_bar_deg=np.asarray(theta_bar, dtype=float),
-        angle_step_deg=spec.angle_step_deg,
-        angle_refine_step_deg=spec.angle_refine_step_deg,
-        angle_refine_halfwidth_deg=spec.angle_refine_halfwidth_deg,
-    )
+    return replace(spec, range_bins=np.asarray(range_bins, dtype=int),
+                   doppler_hz=np.asarray(doppler, dtype=float))
 
 
 def hermitian_gram(x: np.ndarray) -> np.ndarray:
@@ -291,22 +284,18 @@ def subspace_split(cov: np.ndarray, signal_dim: int) -> SubspaceBasis:
         if converged:
             break
         block, c_block = ritz, c_ritz
-    return SubspaceBasis(ritz[:, :signal_dim], np.maximum(theta, 0.0), signal_dim,
-                         restart, residual, converged)
+    return SubspaceBasis(ritz[:, :signal_dim], np.maximum(theta, 0.0), restart, residual,
+                         converged)
 
 
-def estimate_signal_dim(eigenvalues: np.ndarray, max_dim: int | None = None) -> int:
+def estimate_signal_dim(eigenvalues: np.ndarray) -> int:
     """Signal order from the largest ratio gap of the sorted spectrum."""
-    vals = np.asarray(eigenvalues, dtype=float)
-    vals = np.sort(vals)[::-1]
-    limit = max_dim if max_dim is not None else len(vals) - 1
-    limit = min(limit, len(vals) - 1)
-    if limit < 1:
+    vals = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
+    if len(vals) < 2:
         raise ValueError("need at least two eigenvalues")
     if vals[0] <= 0:
         raise ValueError("spectrum must contain a positive eigenvalue")
-    floor = vals[0] * 1e-15
-    ratios = vals[:limit] / np.maximum(vals[1:limit + 1], floor)
+    ratios = vals[:-1] / np.maximum(vals[1:], vals[0] * 1e-15)
     return int(np.argmax(ratios)) + 1
 
 
@@ -655,21 +644,20 @@ def xi2_surface(
     context: Xi2Context,
     theta_deg: np.ndarray,
     theta_bar_deg: np.ndarray,
-    per_context: bool = False,
-    context_index: int | None = None,
+    contexts: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """DOA/DOD cost over a grid, shape (len(theta), len(theta_bar)).
+    """DOA/DOD cost over a grid.
 
-    Summed over the per-target contexts; per_context=True returns the
-    (K, len(theta), len(theta_bar)) stack instead.  context_index scores
-    that one context alone and returns its term.
+    contexts=None sums the per-target terms into one (len(theta),
+    len(theta_bar)) surface; a sequence of context indices returns those
+    terms stacked, (len(contexts), len(theta), len(theta_bar)).
     """
     theta_deg = np.atleast_1d(np.asarray(theta_deg, dtype=float))
     theta_bar_deg = np.atleast_1d(np.asarray(theta_bar_deg, dtype=float))
     s_rx = spatial_manifold(context.scenario, "rx", theta_deg)
     s_tx = spatial_manifold(context.scenario, "tx", theta_bar_deg)
     tx_pairs = _tx_pairs(s_tx)
-    indices = range(len(context.estimates)) if context_index is None else [context_index]
+    indices = range(len(context.estimates)) if contexts is None else contexts
     out = np.empty((len(indices), len(theta_deg), len(theta_bar_deg)), dtype=float)
     for row, ki in enumerate(indices):
         sig_power = _signal_power(context.basis_phi[ki], s_rx, tx_pairs)
@@ -678,14 +666,7 @@ def xi2_surface(
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.where(den > 0.0, num / np.maximum(den, 1e-300), np.inf)
         out[row] = vals if num > 0 else 0.0
-    if context_index is not None:
-        return out[0]
-    return out if per_context else out.sum(axis=0)
-
-
-def xi2_cost(theta_deg: float, theta_bar_deg: float, context: Xi2Context) -> float:
-    """Cost at a single (DOA, DOD) candidate (sum over target contexts)."""
-    return float(xi2_surface(context, [theta_deg], [theta_bar_deg])[0, 0])
+    return out.sum(axis=0) if contexts is None else out
 
 
 def doa_dod_search(
@@ -702,24 +683,23 @@ def doa_dod_search(
     a local fine grid.  (The summed surface is unreliable here: secondary
     maxima of a strong target can outgrow a weak target's main peak.)
     Peak-to-target association is therefore intrinsic.  The stack is the
-    (K, len(theta), len(theta_bar)) xi2_surface it scored on the coarse
-    grid; its sum over axis 0 is the summed surface.
+    (K, len(angle_deg), len(angle_deg)) xi2_surface it scored on the
+    coarse grid; its sum over axis 0 is the summed surface.
     """
-    theta = grid.theta_deg
-    theta_bar = grid.theta_bar_deg
-    stack = xi2_surface(context, theta, theta_bar, per_context=True)
+    axis = grid.angle_deg
+    stack = xi2_surface(context, axis, axis, contexts=range(len(context.estimates)))
     step = grid.angle_refine_step_deg
-    half = grid.angle_refine_halfwidth_deg
+    half = _ANGLE_REFINE_HALFWIDTH_DEG
 
     results: list[tuple[float, float, float]] = []
     for ki in range(stack.shape[0]):
         surf = stack[ki]
         flat = int(np.argmax(surf))
         i, j = np.unravel_index(flat, surf.shape)
-        th0, tb0 = theta[i], theta_bar[j]
+        th0, tb0 = axis[i], axis[j]
         local_th = np.arange(max(0.0, th0 - half), min(180.0, th0 + half) + 1e-9, step)
         local_tb = np.arange(max(0.0, tb0 - half), min(180.0, tb0 + half) + 1e-9, step)
-        local = xi2_surface(context, local_th, local_tb, context_index=ki)
+        local = xi2_surface(context, local_th, local_tb, contexts=[ki])[0]
         flat = int(np.argmax(local))
         ii, jj = np.unravel_index(flat, local.shape)
         results.append((float(local_th[ii]), float(local_tb[jj]), float(local[ii, jj])))

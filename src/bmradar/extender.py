@@ -52,18 +52,17 @@ RANK_TOLERANCE = 1e-8
 
 @dataclass(frozen=True)
 class BlockerSet:
-    """Per-Tx-antenna blocking matrices and orthonormal bases.
+    """Per-Tx-antenna complement projectors.
 
-    blockers[m]: L x (K * (n_bar - 1)) matrix of interfering signatures.
-    bases[m]:    orthonormal basis of its column space (rank-truncated).
+    bases[m]: orthonormal basis (rank-truncated) of the column space of
+    antenna m's L x (K * (n_bar - 1)) matrix of interfering signatures.
     """
 
-    blockers: tuple[np.ndarray, ...]
     bases: tuple[np.ndarray, ...]
 
     @property
     def tx_count(self) -> int:
-        return len(self.blockers)
+        return len(self.bases)
 
     def project(self, m: int, vectors: np.ndarray) -> np.ndarray:
         """Apply the complement projector of antenna m.
@@ -178,13 +177,12 @@ def build_blockers(
         raise ValueError("estimates must be non-empty")
     # raises on an out-of-range delay before any SVD
     signatures = [transformation_matrix(codes, d, f, system) for d, f in estimates]
-    blockers, bases = [], []
+    bases = []
     for m in range(codes.tx_count):
         others = [mm for mm in range(codes.tx_count) if mm != m]
-        b_m = np.concatenate([t[:, others] for t in signatures], axis=1)
-        blockers.append(b_m)
-        bases.append(_orthonormal_basis(b_m))
-    return BlockerSet(blockers=tuple(blockers), bases=tuple(bases))
+        bases.append(_orthonormal_basis(np.concatenate([t[:, others] for t in signatures],
+                                                       axis=1)))
+    return BlockerSet(tuple(bases))
 
 
 def apply_virtual_extension(cube: DataCube, blockers: BlockerSet) -> VirtualSnapshots:

@@ -78,7 +78,6 @@ class TargetEstimate:
 class EstimateReport:
     method: str
     entries: tuple[TargetEstimate, ...]
-    k: int
     elapsed_s: float
     metadata: dict = field(default_factory=dict)
 
@@ -146,7 +145,7 @@ def run_scenario(
     xi1_grid = xi2_grid = None
     if scenario.target_count == 0 and k is None and not estimate_k:
         for m in methods:
-            reports[m] = EstimateReport(m, (), 0, 0.0)
+            reports[m] = EstimateReport(m, (), 0.0)
         return RunResult(scenario, int(seed), cube.truth, reports, code_kind)
 
     t0 = time.perf_counter()
@@ -155,8 +154,8 @@ def run_scenario(
         # one solve: its Ritz values pick the order, its leading Ritz
         # vectors are the basis
         head = subspace_split(cov, min(12, cov.shape[0] - 1))
-        k_eff = estimate_signal_dim(head.eigenvalues, max_dim=head.signal_dim)
-        basis = dc_replace(head, basis=head.basis[:, :k_eff], signal_dim=k_eff)
+        k_eff = estimate_signal_dim(head.eigenvalues[:head.signal_dim + 1])
+        basis = dc_replace(head, basis=head.basis[:, :k_eff])
     else:
         k_eff = k if k is not None else scenario.target_count
         if not 0 < k_eff < len(cov):  # a basis of all of C^L leaves no noise subspace
@@ -198,10 +197,10 @@ def run_scenario(
                 for (d, f_hat), (th, tb, val) in zip(refined, peaks)]
 
     def baseline_entries(metadata: dict) -> list[TargetEstimate]:
-        raw = baseline_mod.baseline_estimate(cube, scenario, codes, refined, grid,
-                                             gate_music=baseline_gate_music)
-        return [TargetEstimate(e["delay_bins"], e["doppler_hz"], e.get("doa_deg"),
-                               e.get("dod_deg"), 0.0, e.get("error")) for e in raw]
+        angles = baseline_mod.baseline_estimate(cube, scenario, codes, refined, grid,
+                                                gate_music=baseline_gate_music)
+        return [TargetEstimate(d, f_hat, doa, dod, 0.0, error)
+                for (d, f_hat), (doa, dod, error) in zip(refined, angles)]
 
     chains = {METHOD_VST: vst_entries, METHOD_BASELINE: baseline_entries}
     for m in methods:
@@ -216,11 +215,12 @@ def run_scenario(
             entries = tuple(TargetEstimate(d, f, None, None, 0.0, metadata["error"])
                             for d, f in refined)
         reports[m] = EstimateReport(
-            m, entries, k_eff, stage1_elapsed + time.perf_counter() - t1, metadata)
+            m, entries, stage1_elapsed + time.perf_counter() - t1, metadata)
 
     if coarse is not None:
         # the summed surface from the per-context stack the search scored
-        xi2_grid = (grid.theta_deg, grid.theta_bar_deg, np.sum(coarse, axis=0))
+        axis = grid.angle_deg
+        xi2_grid = (axis, axis, np.sum(coarse, axis=0))
     return RunResult(scenario, int(seed), cube.truth, reports, code_kind,
                      xi1_grid, xi2_grid)
 
@@ -368,9 +368,15 @@ def monte_carlo_rmse(
     truth) unless drop_failures is set, in which case it is excluded from
     that target's mean (and still counted in the failure tally).  The
     bootstrap spread resamples whole trials.
+
+    jobs >= 1 caps the worker processes: at most min(jobs, total trials,
+    usable cores) are started, and the sweep runs in this process when
+    that is 1.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     if len(snr_db_list) == 0:
         raise ValueError("snr_db_list is empty: a sweep needs at least one SNR point")
     if clutter_mode not in ("off", "scenario"):
@@ -393,10 +399,12 @@ def monte_carlo_rmse(
                 baseline_gate_music,
             ))
 
-    if jobs <= 1:
+    # a fork-started pool launches every worker at its first submit
+    workers = min(jobs, len(tasks), _usable_cores())
+    if workers == 1:
         records = tuple(map(_mc_trial, tasks))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = tuple(pool.map(_mc_trial, tasks, chunksize=1))
     boot_rng = np.random.default_rng(np.random.SeedSequence([_MC_DOMAIN, seed, 0xB007]))
 
@@ -606,9 +614,13 @@ def _thread_context() -> dict:
     """Usable cores and the BLAS/OpenMP thread caps set in the environment
     (None when unset): the last digits of ``peak`` in estimates.csv depend
     on the number of threads the BLAS library runs."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        cores = os.cpu_count()
     caps = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    return {"usable_cores": cores, **{name: os.environ.get(name) for name in caps}}
+    return {"usable_cores": _usable_cores(), **{name: os.environ.get(name) for name in caps}}
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1

@@ -267,11 +267,12 @@ class TestCriterion6PropertySuites:
         cube_n = b.add_noise(cube_n, 15.0, np.random.default_rng(8))
         basis = est.subspace_split(est.temporal_covariance(cube_n), 1)
         p_n = np.eye(14) - basis.basis @ basis.basis.conj().T
-        for d in (0, 4, 7):
+        delays = [0, 4, 7]
+        surface = b.xi1_surface(codes_n, basis, tiny_noisy.system, delays, [3000.0])
+        for d, direct in zip(delays, surface[:, 0]):
             t_mat = b.transformation_matrix(codes_n, d, 3000.0, tiny_noisy.system)
             num = np.linalg.det(t_mat.conj().T @ t_mat).real
             den = np.linalg.det(t_mat.conj().T @ p_n @ t_mat).real
-            direct = est.xi1_cost(d, 3000.0, codes_n, basis, tiny_noisy.system)
             assert abs(direct - num / den) <= 1e-9 * abs(num / den)
         tn = cube_n.truth[0]
         blk_n = b.build_blockers(codes_n, [(tn.delay_bins, tn.doppler_hz)],
@@ -292,7 +293,7 @@ class TestCriterion6PropertySuites:
             ])
             num = np.linalg.norm(ph_c) ** 2
             den = (ph_c.conj() @ p_nv @ ph_c).real
-            direct = b.xi2_cost(th, tb, ctx)
+            direct = b.xi2_surface(ctx, [th], [tb])[0, 0]
             assert abs(direct - num / den) <= 1e-9 * abs(num / den)
 
         # ellipse round trip and law-of-cosines oracle on 1e4 triangles

@@ -67,16 +67,17 @@ class TestRunScenario:
         scored = []
         xi2_surface = estimation.xi2_surface
 
-        def spy(context, theta, theta_bar, per_context=False, context_index=None):
-            out = xi2_surface(context, theta, theta_bar, per_context, context_index)
-            if context_index is None:
-                scored.append((per_context, out))
+        def spy(context, theta, theta_bar, contexts=None):
+            out = xi2_surface(context, theta, theta_bar, contexts)
+            scored.append((contexts, out))
             return out
 
         monkeypatch.setattr(estimation, "xi2_surface", spy)
         result = b.run_scenario(tiny_noisy, method="vst", seed=0, store_surfaces=True)
-        # one coarse scoring, the search's per-context stack
-        assert [per_context for per_context, _ in scored] == [True]
+        # one coarse scoring, the search's per-context stack, then one
+        # refine per context
+        k = len(result.reports["vst"].entries)
+        assert [contexts for contexts, _ in scored] == [range(k)] + [[ki] for ki in range(k)]
         assert result.xi2_grid[2].tobytes() == np.sum(scored[0][1], axis=0).tobytes()
 
     def test_dump_cube_flag(self, tiny_noisy, tmp_path):
@@ -94,10 +95,10 @@ class TestRunScenario:
 
         monkeypatch.setattr(harness, "temporal_covariance", capture)
         result = b.run_scenario(tiny_noisy, method="vst", seed=4, estimate_k=True)
-        assert result.reports["vst"].k == 1
+        assert len(result.reports["vst"].entries) == 1
         # the Ritz values pick the order that the whole spectrum picks
         full = np.sort(np.linalg.eigvalsh(covs[0]))[::-1]
-        assert estimation.estimate_signal_dim(full, max_dim=12) == 1
+        assert estimation.estimate_signal_dim(full[:13]) == 1
 
     def test_baseline_failure_keeps_the_vst_report(self, paper_scenario):
         # five sources cannot be resolved by MUSIC on five Rx antennas
@@ -239,6 +240,48 @@ class TestMonteCarlo:
                                 seed=2, jobs=2)
         assert r1.points[0].rmse == r2.points[0].rmse
         assert [r.seed for r in r1.records] == [r.seed for r in r2.records]
+
+    @pytest.mark.parametrize("jobs, snr, trials, cores, want", [
+        (8, [15.0], 3, 64, [3]),       # capped by the trial count
+        (8, [10.0, 15.0], 4, 3, [3]),  # capped by the usable cores
+        (2, [15.0], 1, 64, []),        # one trial: runs in this process
+        (2, [15.0], 4, 1, []),         # one core: runs in this process
+    ])
+    def test_pool_size_is_capped(self, tiny_noisy, monkeypatch, jobs, snr, trials, cores,
+                                 want):
+        sizes = []
+
+        class InProcessPool:
+            """Records the pool size and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
+        pooled = b.monte_carlo_rmse(tiny_noisy, snr, trials=trials, method="vst", seed=2,
+                                    jobs=jobs)
+        assert sizes == want
+        serial = b.monte_carlo_rmse(tiny_noisy, snr, trials=trials, method="vst", seed=2)
+        assert pooled.records == serial.records
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_is_rejected_before_any_trial(self, tiny_noisy, monkeypatch,
+                                                          jobs):
+        calls = []
+        monkeypatch.setattr(harness, "run_scenario", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            b.monte_carlo_rmse(tiny_noisy, [20.0], 2, jobs=jobs)
+        assert calls == []
 
     def test_trial_seeds_unique_and_deterministic(self, tiny_noisy):
         r = b.monte_carlo_rmse(tiny_noisy, [10.0, 20.0], trials=3, method="vst",
@@ -707,6 +750,31 @@ class TestCli:
         assert flag[0] in capsys.readouterr().err
         assert not (tmp_path / "mc").exists()
 
+    @pytest.mark.parametrize("flag", [["--method", "vst"], ["--gate-music"]])
+    def test_grids_rejects_estimator_flags(self, tmp_path, capsys, monkeypatch, flag):
+        # grids always runs v-ST: an estimator flag would be silently ignored
+        monkeypatch.setattr(harness, "synthesize_cube", _no_synthesis)
+        scen = self._write_tiny(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["grids", "--scenario", str(scen), "--out", str(tmp_path / "out"),
+                      *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "grids"])
+    def test_too_few_stage1_peaks_is_one_error_line(self, tmp_path, capsys, command):
+        # every delay of the tiny scenario lies within one code length of
+        # every other, so stage 1 fits one peak
+        scen = self._write_tiny(tmp_path)
+        rc = cli_main([command, "--scenario", str(scen), "--out", str(tmp_path / "out"),
+                       "--known-k", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("radar: error: found only 1 of 2")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["run", "mc", "grids"])
     @pytest.mark.parametrize("flag, value, field", [
         ("--angle-refine-step", "0", "angle_refine_step_deg"),
@@ -755,6 +823,8 @@ class TestCli:
         (["--snr", ""], "argument --snr: needs at least one SNR point"),
         (["--snr", "10,nan"], "argument --snr: SNR points must not be nan or -inf"),
         (["--snr=-inf"], "argument --snr: SNR points must not be nan or -inf"),
+        (["--jobs", "0"], "argument --jobs: must be >= 1"),
+        (["--jobs", "-1"], "argument --jobs: must be >= 1"),
     ])
     def test_bad_sweep_flag_is_a_usage_error(self, tmp_path, capsys, monkeypatch, args,
                                              message):
