@@ -36,8 +36,6 @@ from .channel import (
     DataCube,
     PathGain,
     TargetTruth,
-    add_clutter,
-    add_noise,
     draw_target_states,
     dump_cube,
     load_cube,
@@ -63,14 +61,7 @@ from .estimation import (
     xi1_surface,
     xi2_surface,
 )
-from .baseline import (
-    EllipseParams,
-    baseline_estimate,
-    dod_from_geometry,
-    ellipse_params,
-    music_doa_spectrum,
-    split_bistatic_range,
-)
+from .baseline import baseline_estimate, dod_from_geometry, music_doa_spectrum, split_bistatic_range
 from .harness import (
     EstimateReport,
     RmseReport,

@@ -16,22 +16,20 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .channel import DataCube
 from .estimation import (GridSpec, SubspaceBasis, despread_gate, greedy_peaks,
-                         hermitian_gram, linear_assignment, subspace_split)
+                         hermitian_gram, linear_assignment, _local_angle_axis,
+                         subspace_split)
 from .manifold import spatial_manifold
 from .scenario import Scenario
 from .waveform import CodeMatrix
 
 __all__ = [
-    "EllipseParams",
     "GeometryError",
-    "ellipse_params",
     "split_bistatic_range",
     "dod_from_geometry",
     "music_doa_spectrum",
@@ -44,55 +42,43 @@ class GeometryError(ValueError):
     """Raised for degenerate bistatic geometry."""
 
 
-@dataclass(frozen=True)
-class EllipseParams:
-    """Bistatic ellipse in compressed-bin units (sites at the foci)."""
-
-    semi_major: float
-    eccentricity: float
-
-
-def ellipse_params(r_bi: float, l_bi: float) -> EllipseParams:
-    """Ellipse for a bistatic range r_bi and site separation l_bi (bins)."""
-    if l_bi < 0:
-        raise GeometryError("baseline must be non-negative")
+def _ellipse(r_bi: float, l_bi: float) -> tuple[float, float]:
+    """(semi-major axis, eccentricity) of the bistatic ellipse for a
+    bistatic range r_bi and site separation l_bi (bins)."""
+    if l_bi <= 0:
+        raise GeometryError("baseline must be positive")
     if r_bi <= l_bi:
         raise GeometryError(
             f"bistatic range {r_bi} does not exceed baseline {l_bi}: degenerate ellipse"
         )
     a = r_bi / 2.0
-    return EllipseParams(semi_major=a, eccentricity=(l_bi / 2.0) / a)
+    return a, (l_bi / 2.0) / a
 
 
-def split_bistatic_range(
-    ellipse: EllipseParams, theta_deg: float, r_bi: float
-) -> tuple[float, float]:
+def split_bistatic_range(r_bi: float, l_bi: float, doa_deg: float) -> tuple[float, float]:
     """Split a bistatic range into (rx range, tx range) at a given DOA.
 
     Focal polar form about the Rx focus with the angle measured from the
     baseline direction towards Tx.
     """
-    e = ellipse.eccentricity
-    denom = 1.0 + e * math.cos(math.radians(theta_deg))
+    a, e = _ellipse(r_bi, l_bi)
+    denom = 1.0 + e * math.cos(math.radians(doa_deg))
     if abs(denom) < 1e-9:
         raise GeometryError("direction lies along the ellipse asymptote")
-    r_rx = ellipse.semi_major * (1.0 - e * e) / denom
+    r_rx = a * (1.0 - e * e) / denom
     return r_rx, r_bi - r_rx
 
 
-def dod_from_geometry(ellipse: EllipseParams, r_tx: float) -> float:
+def dod_from_geometry(r_bi: float, l_bi: float, r_tx: float) -> float:
     """Departure angle (degrees) at the Tx focus for a split range.
 
     Inverts the focal polar form about the Tx focus; equals the
     law-of-cosines interior angle of the site/target triangle.
     """
-    e = ellipse.eccentricity
-    if e <= 0:
-        # circle: every direction sees the same radius
-        return 90.0
+    a, e = _ellipse(r_bi, l_bi)
     if r_tx <= 0:
         raise GeometryError(f"tx range {r_tx} must be positive")
-    arg = (1.0 - ellipse.semi_major * (1.0 - e * e) / r_tx) / e
+    arg = (1.0 - a * (1.0 - e * e) / r_tx) / e
     if abs(arg) > 1.0 + 1e-6:
         raise GeometryError(f"inconsistent split: arccos argument {arg:.6f}")
     return math.degrees(math.acos(min(1.0, max(-1.0, arg))))
@@ -120,28 +106,30 @@ def _refine_doa(
 ) -> float:
     """Polish a DOA peak to the pseudo-spectrum maximum on a local grid of
     step_deg within +-1 degree (clipped to [0, 180])."""
-    local = np.arange(max(0.0, peak - 1.0), min(180.0, peak + 1.0) + 1e-9, step_deg)
+    local = _local_angle_axis(peak, 1.0, step_deg)
     return float(local[int(np.argmax(pseudo(local)))])
 
 
 def music_doa_spectrum(
-    cube: DataCube,
+    cov: np.ndarray,
     scenario: Scenario,
     k: int,
     theta_grid: np.ndarray,
     refine_step_deg: float,
 ) -> tuple[np.ndarray, list[float]]:
-    """Whole-cube MUSIC pseudo-spectrum over DOA and its k largest peaks.
+    """MUSIC pseudo-spectrum over DOA of an Rx covariance, and its k
+    largest peaks.
 
+    cov is any n_rx x n_rx Rx-antenna covariance: the whole CPI's
+    (spatial_covariance) or one despread range gate's (_gate_covariance).
     Peaks are picked greedily with suppression within 2 degrees of an
     accepted peak, then each is polished on a +-1 degree local grid at
-    refine_step_deg.  Only rx_count - 1 sources
-    are spatially resolvable.
+    refine_step_deg.  Only n_rx - 1 sources are spatially resolvable.
     """
-    n_rx = cube.rx_count
+    n_rx = len(cov)
     if k >= n_rx:
         raise ValueError(f"cannot resolve {k} sources with {n_rx} antennas")
-    pseudo = partial(_music_pseudo, subspace_split(spatial_covariance(cube), k), scenario)
+    pseudo = partial(_music_pseudo, subspace_split(cov, k), scenario)
     theta_grid = np.asarray(theta_grid, dtype=float)
     spectrum = pseudo(theta_grid)
     idx = greedy_peaks(spectrum, theta_grid, 2.0, k)
@@ -151,29 +139,15 @@ def music_doa_spectrum(
     return spectrum, peaks
 
 
-def gate_music_doa(
-    cube: DataCube,
-    codes: CodeMatrix,
-    scenario: Scenario,
-    delay: int,
-    theta_grid: np.ndarray,
-    refine_step_deg: float,
-) -> float:
-    """Single-source MUSIC DOA from one despread range gate.
+def _gate_covariance(cube: DataCube, codes: CodeMatrix, delay: int) -> np.ndarray:
+    """Rx-antenna covariance of one despread range gate.
 
     Despreading with the composite code concentrates the gate's target
     energy into one spatial snapshot per PRI, recovering the pulse
-    compression gain before the covariance is formed.  Far more robust to
-    per-CPI fluctuation fades than the whole-cube spectrum, at the price
-    of resolving only the dominant source in the gate.  The pseudo-spectrum
-    and the +-1 degree refine are those of music_doa_spectrum.
+    compression gain before the covariance is formed.
     """
     y = despread_gate(cube, codes, delay)
-    cov = hermitian_gram(y) / y.shape[0]
-    pseudo = partial(_music_pseudo, subspace_split(cov, 1), scenario)
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    peak = float(theta_grid[int(np.argmax(pseudo(theta_grid)))])
-    return _refine_doa(pseudo, peak, refine_step_deg)
+    return hermitian_gram(y) / y.shape[0]
 
 
 def associate_doa_to_range(
@@ -204,12 +178,12 @@ def baseline_estimate(
     cube: DataCube,
     scenario: Scenario,
     codes: CodeMatrix,
-    stage1: list[tuple[int, float]],
+    delays: list[int],
     grid: GridSpec,
     gate_music: bool = False,
 ) -> list[tuple[float, float | None, str | None]]:
-    """Geometric (DOA, DOD, error) for each stage-1 (delay, Doppler)
-    target, in stage-1 order.
+    """Geometric (DOA, DOD, error) for each stage-1 delay, in stage-1
+    order.
 
     The default takes the whole-cube MUSIC spectrum's peaks and pairs them
     with the range gates by despread beam power.  gate_music=True instead
@@ -219,23 +193,23 @@ def baseline_estimate(
     gate's ellipse geometry is degenerate, DOD is None and error says why;
     otherwise error is None.
     """
-    delays = [d for d, _ in stage1]
+    axis, step = grid.angle_deg, grid.angle_refine_step_deg
     if gate_music:
-        doas = [gate_music_doa(cube, codes, scenario, d, grid.angle_deg,
-                               grid.angle_refine_step_deg)
+        doas = [music_doa_spectrum(_gate_covariance(cube, codes, d), scenario, 1,
+                                   axis, step)[1][0]
                 for d in delays]
         pairing = list(range(len(delays)))
     else:
-        _, doas = music_doa_spectrum(cube, scenario, len(delays), grid.angle_deg,
-                                     grid.angle_refine_step_deg)
+        _, doas = music_doa_spectrum(spatial_covariance(cube), scenario, len(delays),
+                                     axis, step)
         pairing = associate_doa_to_range(cube, codes, scenario, delays, doas)
+    l_bi = scenario.system.baseline_bins
     out = []
     for d, doa_idx in zip(delays, pairing):
         theta = doas[doa_idx]
         try:
-            ellipse = ellipse_params(float(d), scenario.system.baseline_bins)
-            _, r_tx = split_bistatic_range(ellipse, theta, float(d))
-            out.append((theta, dod_from_geometry(ellipse, r_tx), None))
+            _, r_tx = split_bistatic_range(float(d), l_bi, theta)
+            out.append((theta, dod_from_geometry(float(d), l_bi, r_tx), None))
         except GeometryError as exc:
             out.append((theta, None, str(exc)))
     return out

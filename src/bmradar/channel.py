@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +35,6 @@ __all__ = [
     "draw_target_states",
     "synthesize_targets",
     "synthesize_cube",
-    "add_clutter",
-    "add_noise",
     "dump_cube",
     "load_cube",
 ]
@@ -242,28 +240,12 @@ def state_mean_power(coef: np.ndarray, w: np.ndarray) -> float:
     return float(np.mean(np.abs(coef) ** 2) * np.mean(support))
 
 
-def add_clutter(cube: DataCube, scr_db: float, rng: np.random.Generator) -> DataCube:
-    """Add white complex Gaussian clutter across all bins.
-
-    Models clutter after a whitening transform: zero mean, isotropic,
-    occupying every range bin, with total power set so the ratio of total
-    target echo energy to total clutter energy over the CPI equals scr_db.
-    scr_db=+inf leaves the cube unchanged.
-    """
-    return _with_gaussian(cube, _clutter_variance(cube, scr_db), rng)
-
-
-def add_noise(cube: DataCube, snr_db: float, rng: np.random.Generator) -> DataCube:
-    """Add receiver AWGN, power referenced like add_clutter.
-
-    With no targets present the reference power defaults to 1, giving noise
-    variance 10**(-snr/10).
-    """
-    return _with_gaussian(cube, _noise_variance(cube, snr_db), rng)
-
-
 def _clutter_variance(cube: DataCube, scr_db: float) -> float | None:
-    """Clutter variance for scr_db, or None when clutter is disabled."""
+    """Clutter variance for scr_db, or None when clutter is disabled.
+
+    The clutter is white: total echo energy over total clutter energy in
+    the CPI equals scr_db.
+    """
     if math.isinf(scr_db) and scr_db > 0:
         return None
     if cube.echo_energy_per_sample <= 0:
@@ -272,20 +254,15 @@ def _clutter_variance(cube: DataCube, scr_db: float) -> float | None:
 
 
 def _noise_variance(cube: DataCube, snr_db: float) -> float | None:
-    """Noise variance for snr_db, or None when noise is disabled."""
+    """Noise variance for snr_db, or None when noise is disabled.
+
+    With no targets present the reference power is 1, so the variance is
+    10**(-snr_db/10).
+    """
     if math.isinf(snr_db) and snr_db > 0:
         return None
     reference = cube.echo_power if cube.echo_power > 0 else 1.0
     return reference / 10.0 ** (snr_db / 10.0)
-
-
-def _with_gaussian(cube: DataCube, var: float | None, rng: np.random.Generator) -> DataCube:
-    """A copy of cube plus Gaussian samples of variance var (None: cube)."""
-    if var is None:
-        return cube
-    samples = cube.samples.copy()
-    _add_gaussian(samples, var, rng, np.empty(samples.shape))
-    return replace(cube, samples=samples)
 
 
 def _add_gaussian(
@@ -315,9 +292,11 @@ def synthesize_cube(
     """Full received cube: target echoes plus clutter plus noise at the
     scenario's configured levels.
 
-    The echo cube is a fresh array, so clutter and then noise are added
-    into it in place, with add_clutter's and add_noise's draws; all four
-    real draws share one float buffer.
+    Clutter models the return after a whitening transform: zero-mean
+    complex Gaussian, isotropic and in every range bin.  The echo cube is
+    a fresh array, so clutter (only when targets are present) and then
+    receiver noise are added into it in place; all four real draws share
+    one float buffer.  This is the only place interference enters a cube.
     """
     states = draw_target_states(scenario, rng)
     cube = synthesize_targets(scenario, codes, symbols, states)

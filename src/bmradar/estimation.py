@@ -187,6 +187,13 @@ class GridSpec:
         return np.arange(0.0, 180.0 + 1e-9, self.angle_step_deg)
 
 
+def _local_angle_axis(center: float, half_deg: float, step_deg: float) -> np.ndarray:
+    """Angle axis at step_deg within +-half_deg of center, clipped to
+    [0, 180] degrees: the local grid a coarse angle peak is refined on."""
+    return np.arange(max(0.0, center - half_deg), min(180.0, center + half_deg) + 1e-9,
+                     step_deg)
+
+
 def default_grid(scenario: Scenario, spec: GridSpec | None = None) -> GridSpec:
     """Fill the unset delay and Doppler axes for a scenario.
 
@@ -697,8 +704,8 @@ def doa_dod_search(
         flat = int(np.argmax(surf))
         i, j = np.unravel_index(flat, surf.shape)
         th0, tb0 = axis[i], axis[j]
-        local_th = np.arange(max(0.0, th0 - half), min(180.0, th0 + half) + 1e-9, step)
-        local_tb = np.arange(max(0.0, tb0 - half), min(180.0, tb0 + half) + 1e-9, step)
+        local_th = _local_angle_axis(th0, half, step)
+        local_tb = _local_angle_axis(tb0, half, step)
         local = xi2_surface(context, local_th, local_tb, contexts=[ki])[0]
         flat = int(np.argmax(local))
         ii, jj = np.unravel_index(flat, local.shape)

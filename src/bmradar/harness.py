@@ -197,7 +197,8 @@ def run_scenario(
                 for (d, f_hat), (th, tb, val) in zip(refined, peaks)]
 
     def baseline_entries(metadata: dict) -> list[TargetEstimate]:
-        angles = baseline_mod.baseline_estimate(cube, scenario, codes, refined, grid,
+        angles = baseline_mod.baseline_estimate(cube, scenario, codes,
+                                                [d for d, _ in refined], grid,
                                                 gate_music=baseline_gate_music)
         return [TargetEstimate(d, f_hat, doa, dod, 0.0, error)
                 for (d, f_hat), (doa, dod, error) in zip(refined, angles)]

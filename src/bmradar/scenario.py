@@ -95,11 +95,6 @@ class SystemConfig:
         )
 
     @property
-    def pulse_duration_s(self) -> float:
-        """Pulse duration: code_length chips."""
-        return self.code_length * self.chip_period_s
-
-    @property
     def fast_time_bins(self) -> int:
         """Compressed range bins per PRI (fast-time samples per PRI)."""
         if self.pulses_per_pri is not None:
@@ -109,10 +104,6 @@ class SystemConfig:
     @property
     def pri_s(self) -> float:
         return self.fast_time_bins * self.chip_period_s
-
-    @property
-    def cpi_s(self) -> float:
-        return self.pris_per_cpi * self.pri_s
 
     @property
     def wavelength_m(self) -> float:
@@ -256,43 +247,15 @@ def truth_from_geometry(target: TargetSpec, system: SystemConfig) -> tuple[int, 
     return d_true, f_true
 
 
-# Default Tx/Rx uniform circular arrays, metres.  Tx elements sit three
-# half-wavelength units apart, Rx elements one half-wavelength unit apart.
-_TX_COORDS = (
-    (0.28, 0.09, -0.22, -0.22, 0.09),
-    (0.0, 0.26, 0.16, -0.16, -0.26),
-    (0.0, 0.0, 0.0, 0.0, 0.0),
-)
-_RX_COORDS = (
-    (0.092, 0.028, -0.074, -0.074, 0.028),
-    (0.0, 0.087, 0.054, -0.054, -0.087),
-    (0.0, 0.0, 0.0, 0.0, 0.0),
-)
-
-_DEFAULT_TARGETS = (
-    TargetSpec(51, 101, 150.0, 81.20, 68.80, rcs_mean_m2=1.0, swerling_model=1,
-               velocity_mps=-60.0),
-    TargetSpec(85, 104, 130.0, 70.83, 59.17, rcs_mean_m2=1.5, swerling_model=2,
-               velocity_mps=20.0),
-    TargetSpec(126, 102, 100.0, 52.31, 47.69, rcs_mean_m2=2.0, swerling_model=3,
-               velocity_mps=60.0),
-)
-
-
 def default_scenario() -> Scenario:
-    """The bundled reference scenario (ships as ``data/paper.json``).
+    """The bundled reference scenario, loaded from ``data/paper.json``.
 
     1.3 GHz carrier, 15-chip codes, 524 compressed bins per PRI, 256 PRIs
-    per CPI, two 5-element circular arrays 95 bins apart, three fluctuating
-    targets, 20 dB SNR and -5 dB SCR.
+    per CPI, two 5-element uniform circular arrays 95 bins apart (Tx
+    elements three half-wavelength units apart, Rx elements one), three
+    fluctuating targets, 20 dB SNR and -5 dB SCR.
     """
-    return Scenario(
-        system=SystemConfig(),
-        tx_array=ArrayGeometry(_TX_COORDS),
-        rx_array=ArrayGeometry(_RX_COORDS),
-        targets=_DEFAULT_TARGETS,
-        rng_seed=0,
-    )
+    return load_scenario(default_scenario_path())
 
 
 def default_scenario_path() -> Path:

@@ -193,42 +193,43 @@ class TestImpulseResponseOracle:
         assert np.allclose(cube.samples, expected, rtol=1e-12, atol=1e-30)
 
 
+def _interference(scenario, seed):
+    """(echo-only cube, clutter plus noise) of one synthesize_cube call."""
+    codes, symbols = build_waveform(scenario)
+    rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+    cube = b.synthesize_cube(scenario, codes, symbols, rngs[0])
+    states = channel.draw_target_states(scenario, rngs[1])
+    echoes = channel.synthesize_targets(scenario, codes, symbols, states)
+    return echoes, cube.samples - echoes.samples
+
+
 class TestNoiseAndClutter:
     def test_disabled_levels_leave_cube_unchanged(self, tiny_scenario):
-        cube, *_ = clean_cube(tiny_scenario)
-        rng = np.random.default_rng(0)
-        assert b.add_noise(cube, float("inf"), rng) is cube
-        assert b.add_clutter(cube, float("inf"), rng) is cube
+        # no draw past the target states, so the generator is where
+        # synthesize_targets' states left it
+        codes, symbols = build_waveform(tiny_scenario)
+        rngs = np.random.default_rng(0), np.random.default_rng(0)
+        cube = b.synthesize_cube(tiny_scenario, codes, symbols, rngs[0])
+        states = channel.draw_target_states(tiny_scenario, rngs[1])
+        echoes = channel.synthesize_targets(tiny_scenario, codes, symbols, states)
+        assert cube.samples.tobytes() == echoes.samples.tobytes()
+        assert rngs[0].random() == rngs[1].random()
 
     def test_snr_measured_ratio(self, paper_scenario):
-        codes, symbols = build_waveform(paper_scenario)
-        rng = np.random.default_rng(3)
-        states = channel.draw_target_states(paper_scenario, rng)
-        cube = channel.synthesize_targets(paper_scenario, codes, symbols, states)
-        noisy = b.add_noise(cube, 20.0, rng)
-        noise = noisy.samples - cube.samples
+        cube, noise = _interference(paper_scenario.with_system(scr_db=float("inf")), 3)
         measured = 10 * np.log10(cube.echo_power / np.mean(np.abs(noise) ** 2))
         assert measured == pytest.approx(20.0, abs=0.3)
 
     def test_scr_measured_energy_ratio(self, paper_scenario):
-        codes, symbols = build_waveform(paper_scenario)
-        rng = np.random.default_rng(4)
-        states = channel.draw_target_states(paper_scenario, rng)
-        cube = channel.synthesize_targets(paper_scenario, codes, symbols, states)
-        withc = b.add_clutter(cube, -5.0, rng)
-        clutter = withc.samples - cube.samples
+        cube, clutter = _interference(paper_scenario.with_system(snr_db=float("inf")), 4)
         echo_energy = np.sum(np.abs(cube.samples) ** 2)
         clutter_energy = np.sum(np.abs(clutter) ** 2)
         measured = 10 * np.log10(echo_energy / clutter_energy)
         assert measured == pytest.approx(-5.0, abs=0.3)
 
     def test_clutter_zero_mean(self, paper_scenario):
-        codes, symbols = build_waveform(paper_scenario)
-        rng = np.random.default_rng(5)
-        states = channel.draw_target_states(paper_scenario, rng)
-        cube = channel.synthesize_targets(paper_scenario, codes, symbols, states)
-        withc = b.add_clutter(cube, -5.0, rng)
-        clutter = (withc.samples - cube.samples).ravel()
+        _, clutter = _interference(paper_scenario.with_system(snr_db=float("inf")), 5)
+        clutter = clutter.ravel()
         sigma = np.std(clutter) / math.sqrt(clutter.size)
         assert abs(clutter.mean()) < 4 * sigma
 
@@ -242,12 +243,14 @@ class TestNoiseAndClutter:
         assert abs(corr) < 0.01
 
     def test_clutter_without_targets_rejected(self, paper_scenario):
+        # the level is relative to the echo energy; synthesize_cube skips
+        # clutter without targets and so never asks
         s = replace(paper_scenario, targets=())
         codes, symbols = build_waveform(s)
         states = channel.draw_target_states(s, np.random.default_rng(0))
         cube = channel.synthesize_targets(s, codes, symbols, states)
         with pytest.raises(ValueError, match="reference"):
-            b.add_clutter(cube, -5.0, np.random.default_rng(0))
+            channel._clutter_variance(cube, -5.0)
 
 
 def _whole_cube_reference(scenario, codes, symbols, states, rng):
@@ -271,12 +274,10 @@ def _whole_cube_reference(scenario, codes, symbols, states, rng):
     return samples
 
 
-def _at_delays(*delays):
+def _at_delays(states, delays):
     """Edit the drawn states: the first targets moved to the given delays."""
-    def edit(scenario, states):
-        return [replace(st, truth=replace(st.truth, delay_bins=d))
-                for st, d in zip(states, delays)] + states[len(delays):]
-    return edit
+    return [replace(st, truth=replace(st.truth, delay_bins=d))
+            for st, d in zip(states, delays)] + states[len(delays):]
 
 
 def _tiny_two_targets(**kw):
@@ -291,33 +292,34 @@ class TestSynthesisMatchesWholeCubeFormula:
     whole-cube formula bit for bit, and leave the generator where it was."""
 
     @pytest.mark.parametrize("case", [
-        "paper", "paper-no-clutter", "tiny", "tiny-swerling2",
+        "paper", "paper-no-clutter", "tiny", "tiny-swerling2", "no-targets",
         "paper-edge-delays", "tiny-edge-delays",
     ])
     def test_cube_and_next_draw_unchanged(self, paper_scenario, case):
         tiny_two = _tiny_two_targets(snr_db=15.0, scr_db=-3.0, n_s=24)
-        scenario, edit = {
-            "paper": (paper_scenario, _at_delays()),
-            "paper-no-clutter": (paper_scenario.with_system(scr_db=float("inf")),
-                                 _at_delays()),
-            "tiny": (make_tiny_scenario(snr_db=10.0, scr_db=0.0), _at_delays()),
-            "tiny-swerling2": (tiny_two, _at_delays()),
+        scenario, delays = {
+            "paper": (paper_scenario, ()),
+            "paper-no-clutter": (paper_scenario.with_system(scr_db=float("inf")), ()),
+            "tiny": (make_tiny_scenario(snr_db=10.0, scr_db=0.0), ()),
+            "tiny-swerling2": (tiny_two, ()),
+            "no-targets": (replace(paper_scenario, targets=()), ()),
             # delay 0 and the last unambiguous delay L - nc
-            "paper-edge-delays": (paper_scenario, _at_delays(0, 524 - 15)),
-            "tiny-edge-delays": (tiny_two, _at_delays(14 - 7, 0)),
+            "paper-edge-delays": (paper_scenario, (0, 524 - 15)),
+            "tiny-edge-delays": (tiny_two, (14 - 7, 0)),
         }[case]
         codes, symbols = build_waveform(scenario)
         rngs = np.random.default_rng(21), np.random.default_rng(21)
-        cubes = []
-        for rng, reference in zip(rngs, (False, True)):
-            states = edit(scenario, channel.draw_target_states(scenario, rng))
-            if reference:
-                cubes.append(_whole_cube_reference(scenario, codes, symbols, states, rng))
-                continue
-            cube = channel.synthesize_targets(scenario, codes, symbols, states)
-            cube = b.add_clutter(cube, scenario.system.scr_db, rng)
-            cubes.append(b.add_noise(cube, scenario.system.snr_db, rng).samples)
-        assert cubes[0].tobytes() == cubes[1].tobytes()
+        states = _at_delays(channel.draw_target_states(scenario, rngs[1]), delays)
+        if not delays:
+            got = b.synthesize_cube(scenario, codes, symbols, rngs[0]).samples
+        else:
+            # synthesize_cube draws its own states: the edited delays go
+            # through synthesize_targets, against the interference-free formula
+            channel.draw_target_states(scenario, rngs[0])
+            got = channel.synthesize_targets(scenario, codes, symbols, states).samples
+            scenario = scenario.with_system(snr_db=float("inf"), scr_db=float("inf"))
+        want = _whole_cube_reference(scenario, codes, symbols, states, rngs[1])
+        assert got.tobytes() == want.tobytes()
         assert rngs[0].random() == rngs[1].random()
 
     def test_synthesize_cube_is_the_chain(self, paper_scenario):
@@ -327,36 +329,6 @@ class TestSynthesisMatchesWholeCubeFormula:
         expected = _whole_cube_reference(paper_scenario, codes, symbols, states, rng)
         cube = b.synthesize_cube(paper_scenario, codes, symbols, np.random.default_rng(8))
         assert cube.samples.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("case", ["paper", "paper-no-clutter", "tiny", "no-targets"])
-    def test_in_place_draws_equal_the_two_copy_chain(self, paper_scenario, case):
-        # synthesize_cube adds clutter and noise into its fresh echo array;
-        # the cube and the generator's next draw are those of the public,
-        # copying add_clutter then add_noise
-        scenario = {
-            "paper": paper_scenario,
-            "paper-no-clutter": paper_scenario.with_system(scr_db=float("inf")),
-            "tiny": make_tiny_scenario(snr_db=10.0, scr_db=0.0),
-            "no-targets": replace(paper_scenario, targets=()),
-        }[case]
-        codes, symbols = build_waveform(scenario)
-        rngs = np.random.default_rng(31), np.random.default_rng(31)
-        cube = b.synthesize_cube(scenario, codes, symbols, rngs[0])
-        chain = channel.synthesize_targets(
-            scenario, codes, symbols, channel.draw_target_states(scenario, rngs[1]))
-        if scenario.targets:
-            chain = b.add_clutter(chain, scenario.system.scr_db, rngs[1])
-        chain = b.add_noise(chain, scenario.system.snr_db, rngs[1])
-        assert cube.samples.tobytes() == chain.samples.tobytes()
-        assert rngs[0].random() == rngs[1].random()
-
-    def test_inputs_are_not_mutated(self, paper_scenario):
-        cube, *_ = clean_cube(paper_scenario)
-        before = cube.samples.copy()
-        rng = np.random.default_rng(9)
-        b.add_clutter(cube, -5.0, rng)
-        b.add_noise(cube, 20.0, rng)
-        assert cube.samples.tobytes() == before.tobytes()
 
 
 class TestAddGaussianDrawsIntoOneBuffer:

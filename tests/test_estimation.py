@@ -490,8 +490,9 @@ class TestXi1:
             assert single[i, 0] == pytest.approx(surf[i, 4], rel=1e-9)
 
     def test_factorized_equals_materialized_projector(self, tiny_scenario):
-        cube, codes, symbols, _ = clean_cube(tiny_scenario)
-        noisy = b.add_noise(cube, 10.0, np.random.default_rng(7))
+        codes, symbols = build_waveform(tiny_scenario)
+        noisy = b.synthesize_cube(tiny_scenario.with_system(snr_db=10.0), codes, symbols,
+                                  np.random.default_rng(7))
         basis = est.subspace_split(est.temporal_covariance(noisy), 1)
         u = basis.basis
         p_n = np.eye(14) - u @ u.conj().T

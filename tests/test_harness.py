@@ -390,21 +390,25 @@ class TestMonteCarlo:
 
     def test_baseline_failure_is_recorded_per_method(self, tmp_path, tiny_noisy):
         # one Rx antenna: the baseline's MUSIC cannot resolve even one
-        # source, the v-ST estimate still counts
+        # source, from the whole cube or from one despread gate (whose 1 x 1
+        # covariance would put +inf at the first grid node); the v-ST
+        # estimate still counts
         s = replace(tiny_noisy, system=replace(tiny_noisy.system, rx_count=1),
                     rx_array=b.ArrayGeometry(((0.0,), (0.0,), (0.0,))))
-        r = b.monte_carlo_rmse(s, [20.0], trials=1, method="both", seed=0)
-        rec = r.records[0]
-        assert rec.failed == {
-            "baseline": "ValueError: cannot resolve 1 sources with 1 antennas"}
-        assert rec.aligned["vst"][0].dod_deg is not None
-        # v-ST cannot observe the DOA with one Rx antenna; its DOD counts
-        assert rec.aligned["vst"][0].doa_deg is None
-        assert r.points[0].failures == {"vst": 1, "baseline": 2}
-        b.emit_outputs(tmp_path, rmse=r)
-        with (tmp_path / "failures.csv").open() as fh:
-            rows = list(csv.DictReader(fh))
-        assert [row["method"] for row in rows] == ["baseline"]
+        for gate_music in (False, True):
+            r = b.monte_carlo_rmse(s, [20.0], trials=1, method="both", seed=0,
+                                   baseline_gate_music=gate_music)
+            rec = r.records[0]
+            assert rec.failed == {
+                "baseline": "ValueError: cannot resolve 1 sources with 1 antennas"}
+            assert rec.aligned["vst"][0].dod_deg is not None
+            # v-ST cannot observe the DOA with one Rx antenna; its DOD counts
+            assert rec.aligned["vst"][0].doa_deg is None
+            assert r.points[0].failures == {"vst": 1, "baseline": 2}
+            b.emit_outputs(tmp_path, rmse=r)
+            with (tmp_path / "failures.csv").open() as fh:
+                rows = list(csv.DictReader(fh))
+            assert [row["method"] for row in rows] == ["baseline"]
 
     def test_vst_failure_is_recorded_per_method(self, tmp_path, paper_scenario):
         short = paper_scenario.with_system(pris_per_cpi=2)

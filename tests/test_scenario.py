@@ -39,11 +39,31 @@ class TestDefaultScenario:
         col = paper_scenario.rx_array.matrix[:, 0]
         assert col == pytest.approx((0.092, 0.0, 0.0))
 
+    def test_every_target_row(self, paper_scenario):
+        rows = [(t.tx_range_bins, t.rx_range_bins, t.doa_deg, t.dod_deg,
+                 t.bistatic_angle_deg, t.rcs_mean_m2, t.swerling_model, t.velocity_mps,
+                 t.motion_angle_deg) for t in paper_scenario.targets]
+        assert rows == [(51, 101, 150.0, 81.20, 68.80, 1.0, 1, -60.0, 0.0),
+                        (85, 104, 130.0, 70.83, 59.17, 1.5, 2, 20.0, 0.0),
+                        (126, 102, 100.0, 52.31, 47.69, 2.0, 3, 60.0, 0.0)]
+        assert paper_scenario.rng_seed == 0
+
+    def test_array_coordinates(self, paper_scenario):
+        # uniform circular arrays: Tx elements three half-wavelength units
+        # apart, Rx elements one
+        assert paper_scenario.tx_array.coordinates == (
+            (0.28, 0.09, -0.22, -0.22, 0.09),
+            (0.0, 0.26, 0.16, -0.16, -0.26),
+            (0.0, 0.0, 0.0, 0.0, 0.0),
+        )
+        assert paper_scenario.rx_array.coordinates == (
+            (0.092, 0.028, -0.074, -0.074, 0.028),
+            (0.0, 0.087, 0.054, -0.054, -0.087),
+            (0.0, 0.0, 0.0, 0.0, 0.0),
+        )
+
     def test_pulse_timing(self, paper_scenario):
-        s = paper_scenario.system
-        assert s.pulse_duration_s == pytest.approx(15e-6)
-        assert s.pri_s == pytest.approx(524e-6)
-        assert s.cpi_s == pytest.approx(256 * 524e-6)
+        assert paper_scenario.system.pri_s == pytest.approx(524e-6)
 
     def test_prf_holds_fastest_target(self, paper_scenario):
         # chip period chosen so the largest Doppler stays unambiguous
