@@ -21,12 +21,10 @@ from functools import partial
 import numpy as np
 
 from .channel import DataCube
-from .estimation import (GridSpec, SubspaceBasis, despread_gate, greedy_peaks,
-                         hermitian_gram, linear_assignment, _local_angle_axis,
-                         subspace_split)
+from .estimation import (GridSpec, SubspaceBasis, greedy_peaks, hermitian_gram,
+                         linear_assignment, _local_angle_axis, subspace_split)
 from .manifold import spatial_manifold
 from .scenario import Scenario
-from .waveform import CodeMatrix
 
 __all__ = [
     "GeometryError",
@@ -139,70 +137,67 @@ def music_doa_spectrum(
     return spectrum, peaks
 
 
-def _gate_covariance(cube: DataCube, codes: CodeMatrix, delay: int) -> np.ndarray:
-    """Rx-antenna covariance of one despread range gate.
+def _gate_covariance(gate: np.ndarray) -> np.ndarray:
+    """Rx-antenna covariance of one despread range gate (PRI x Rx).
 
     Despreading with the composite code concentrates the gate's target
     energy into one spatial snapshot per PRI, recovering the pulse
     compression gain before the covariance is formed.
     """
-    y = despread_gate(cube, codes, delay)
-    return hermitian_gram(y) / y.shape[0]
+    return hermitian_gram(gate) / gate.shape[0]
 
 
 def associate_doa_to_range(
-    cube: DataCube,
-    codes: CodeMatrix,
+    gates: list[np.ndarray],
     scenario: Scenario,
-    delays: list[int],
     doas: list[float],
 ) -> list[int]:
-    """Pair each range gate with a DOA peak by despread beam power.
+    """Pair each despread range gate with a DOA peak by beam power.
 
-    Returns, for each delay index, the index of the DOA peak whose steered
-    beam collects the most power from that despread range gate; the pairing
-    is one-to-one: estimation.linear_assignment on the negated powers
-    maximises the total power.
+    Returns, for each gate, the index of the DOA peak whose steered beam
+    collects the most power from it; the pairing is one-to-one:
+    estimation.linear_assignment on the negated powers maximises the total
+    power.
     """
-    power = np.zeros((len(delays), len(doas)))
-    for di, d in enumerate(delays):
-        gate = despread_gate(cube, codes, d)
+    power = np.zeros((len(gates), len(doas)))
+    for di, gate in enumerate(gates):
         for ai, theta in enumerate(doas):
             steer = spatial_manifold(scenario, "rx", theta)
             power[di, ai] = float(np.sum(np.abs(gate @ np.conj(steer)) ** 2))
     pairing = dict(zip(*linear_assignment(-power)))
-    return [pairing[i] for i in range(len(delays))]
+    return [pairing[i] for i in range(len(gates))]
 
 
 def baseline_estimate(
     cube: DataCube,
     scenario: Scenario,
-    codes: CodeMatrix,
     delays: list[int],
+    gates: list[np.ndarray],
     grid: GridSpec,
     gate_music: bool = False,
 ) -> list[tuple[float, float | None, str | None]]:
     """Geometric (DOA, DOD, error) for each stage-1 delay, in stage-1
     order.
 
-    The default takes the whole-cube MUSIC spectrum's peaks and pairs them
-    with the range gates by despread beam power.  gate_music=True instead
-    runs single-source MUSIC on each despread gate, which trades
-    multi-source resolution within a gate for robustness to fluctuation
-    fades (and makes the gate/direction pairing intrinsic).  Where the
-    gate's ellipse geometry is degenerate, DOD is None and error says why;
+    gates[i] is the range gate at delays[i] despread with the composite
+    code (estimation.despread_gate), as the Doppler refine reads it.  The
+    default takes the whole-cube MUSIC spectrum's peaks and pairs them
+    with the gates by beam power.  gate_music=True instead runs
+    single-source MUSIC on each gate, which trades multi-source
+    resolution within a gate for robustness to fluctuation fades (and
+    makes the gate/direction pairing intrinsic).  Where the gate's
+    ellipse geometry is degenerate, DOD is None and error says why;
     otherwise error is None.
     """
     axis, step = grid.angle_deg, grid.angle_refine_step_deg
     if gate_music:
-        doas = [music_doa_spectrum(_gate_covariance(cube, codes, d), scenario, 1,
-                                   axis, step)[1][0]
-                for d in delays]
+        doas = [music_doa_spectrum(_gate_covariance(gate), scenario, 1, axis, step)[1][0]
+                for gate in gates]
         pairing = list(range(len(delays)))
     else:
         _, doas = music_doa_spectrum(spatial_covariance(cube), scenario, len(delays),
                                      axis, step)
-        pairing = associate_doa_to_range(cube, codes, scenario, delays, doas)
+        pairing = associate_doa_to_range(gates, scenario, doas)
     l_bi = scenario.system.baseline_bins
     out = []
     for d, doa_idx in zip(delays, pairing):

@@ -167,59 +167,47 @@ def draw_target_states(
     return states
 
 
-def _target_components(
-    scenario: Scenario,
-    codes: CodeMatrix,
-    symbols: SymbolSequence,
-    states: list[TargetState],
-):
-    """Per-target (slow-time coefficients, Rx vector, fast-time row).
-
-    Coefficient for PRI n: sqrt(P_tx) * beta(n) * a[n] *
-    exp(j*2*pi*F*(n-1)*PRI); the fast-time row already carries the
-    intra-PRI Doppler ramp.
-    """
-    system = scenario.system
-    n_s = system.pris_per_cpi
-    pri = system.pri_s
-    a = np.asarray(symbols.symbols, dtype=float)
-    out = []
-    for target, state in zip(scenario.targets, states):
-        d, f = state.truth.delay_bins, state.truth.doppler_hz
-        s_rx = spatial_manifold(scenario, "rx", target.doa_deg)
-        s_tx = spatial_manifold(scenario, "tx", target.dod_deg)
-        # Tx-weighted fast-time signature: sum over antennas of the delayed
-        # per-antenna code, weighted by conj(tx steering).
-        t_mat = transformation_matrix(codes, d, f, system)
-        w = t_mat @ np.conj(s_tx)
-        # fluctuation scales the amplitude by sqrt(drawn rcs / mean rcs)
-        amp = np.sqrt(state.rcs_draws / target.rcs_mean_m2)
-        slow_phase = np.exp(2j * np.pi * f * np.arange(n_s) * pri)
-        coef = math.sqrt(system.tx_power_w) * state.gain.value * amp * a * slow_phase
-        out.append((coef, s_rx, w))
-    return out
-
-
 def synthesize_targets(
     scenario: Scenario,
     codes: CodeMatrix,
     symbols: SymbolSequence,
     states: list[TargetState],
 ) -> DataCube:
-    """Noise- and clutter-free echo cube for the given target states."""
+    """Noise- and clutter-free echo cube for the given target states.
+
+    Each target adds, in PRI n, fast-time bin l and Rx antenna i,
+    coef[n] * w[l] * s_rx[i]: coef[n] = sqrt(P_tx) * beta(n) * a[n] *
+    exp(j*2*pi*F*(n-1)*PRI), and w the Tx-weighted delayed code, which
+    already carries the intra-PRI Doppler ramp.  Its mean per-element
+    sample power over the occupied bins (|w|^2 > 1e-30) is the SNR
+    reference candidate; the strongest target's becomes echo_power.
+    """
     system = scenario.system
     n_s, L, n_rx = system.pris_per_cpi, system.fast_time_bins, system.rx_count
+    pri = system.pri_s
+    a = np.asarray(symbols.symbols, dtype=float)
     samples = np.zeros((n_s, L, n_rx), dtype=complex)
     powers = []
     energy = 0.0
-    components = _target_components(scenario, codes, symbols, states)
-    for state, (coef, s_rx, w) in zip(states, components):
-        # outer product per PRI: samples[n, l, i] += coef[n] * w[l] * s_rx[i],
-        # added over the code support alone since w is zero outside it
-        d = state.truth.delay_bins
+    for target, state in zip(scenario.targets, states):
+        d, f = state.truth.delay_bins, state.truth.doppler_hz
+        s_rx = spatial_manifold(scenario, "rx", target.doa_deg)
+        s_tx = spatial_manifold(scenario, "tx", target.dod_deg)
+        # Tx-weighted fast-time signature: sum over antennas of the delayed
+        # per-antenna code, weighted by conj(tx steering).
+        w = transformation_matrix(codes, d, f, system) @ np.conj(s_tx)
+        # fluctuation scales the amplitude by sqrt(drawn rcs / mean rcs)
+        amp = np.sqrt(state.rcs_draws / target.rcs_mean_m2)
+        slow_phase = np.exp(2j * np.pi * f * np.arange(n_s) * pri)
+        coef = math.sqrt(system.tx_power_w) * state.gain.value * amp * a * slow_phase
+        # outer product per PRI, added over the code support alone since w
+        # is zero outside it
         support = slice(d, d + codes.code_length)
         samples[:, support] += coef[:, None, None] * w[None, support, None] * s_rx
-        powers.append(state_mean_power(coef, w))
+        occupied = np.abs(w) ** 2
+        occupied = occupied[occupied > 1e-30]
+        powers.append(float(np.mean(np.abs(coef) ** 2) * np.mean(occupied))
+                      if occupied.size else 0.0)
         energy += float(np.sum(np.abs(coef) ** 2) * np.sum(np.abs(w) ** 2) * n_rx)
     echo_power = max(powers) if powers else 0.0
     truth = tuple(s.truth for s in states)
@@ -229,15 +217,6 @@ def synthesize_targets(
         echo_power=echo_power,
         echo_energy_per_sample=energy / samples.size if powers else 0.0,
     )
-
-
-def state_mean_power(coef: np.ndarray, w: np.ndarray) -> float:
-    """Mean per-element echo sample power over the occupied bins."""
-    support = np.abs(w) ** 2
-    support = support[support > 1e-30]
-    if support.size == 0:
-        return 0.0
-    return float(np.mean(np.abs(coef) ** 2) * np.mean(support))
 
 
 def _clutter_variance(cube: DataCube, scr_db: float) -> float | None:

@@ -5,8 +5,10 @@ Subcommands:
   mc     Monte Carlo RMSE over an SNR sweep, write rmse.csv (+ failures.csv)
   grids  one CPI, write the stage-1 and stage-2 cost surfaces as CSV
 
-A stage-1 search that finds fewer peaks than the target count ends run
-and grids with one error line and exit status 1, before any output.
+A scenario file that cannot be loaded is a usage error of --scenario
+(exit status 2).  A stage-1 search that finds fewer peaks than the
+target count ends run and grids with one error line and exit status 1,
+before any output.
 
 The bundled default scenario is used when --scenario is omitted.
 """
@@ -21,7 +23,7 @@ import numpy as np
 
 from .estimation import GridSpec, PeakError
 from .harness import emit_outputs, monte_carlo_rmse, run_scenario
-from .scenario import default_scenario_path, load_scenario
+from .scenario import ScenarioError, default_scenario_path, load_scenario
 
 
 def _positive_int(text: str) -> int:
@@ -128,7 +130,10 @@ def main(argv: list[str] | None = None) -> int:
     _add_target_count(p_grids)
 
     args = parser.parse_args(argv)
-    scenario = _load(args)
+    try:
+        scenario = _load(args)
+    except ScenarioError as exc:
+        parser.error(f"argument --scenario: {exc}")
     L = scenario.system.fast_time_bins
     if args.command != "mc" and args.known_k is not None and not 0 < args.known_k < L:
         # a basis of all of C^L leaves no noise subspace

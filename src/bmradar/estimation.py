@@ -517,26 +517,24 @@ def despread_gate(cube: DataCube, codes: CodeMatrix, delay: int) -> np.ndarray:
 
 
 def doppler_refine(
-    cube: DataCube,
-    codes: CodeMatrix,
-    d_hat: int,
+    gate: np.ndarray,
     symbols: SymbolSequence,
     system: SystemConfig,
     refine: bool = True,
 ) -> float:
-    """Slow-time Doppler estimate for the target despread at delay d_hat.
+    """Slow-time Doppler estimate from one despread range gate.
 
-    Despread the gate at d_hat, demodulate the known symbols, and take the
-    peak of the antenna-summed periodogram across PRIs.  With refine=True
-    the periodogram is zero-padded 16-fold and the peak is polished with a
-    three-point parabolic fit; refine=False returns the raw peak of the
-    unpadded periodogram (error bounded by half a Doppler bin).  The
-    result is wrapped into (-PRF/2, PRF/2].
+    gate is despread_gate at the target's delay, (PRI x Rx).  Demodulate
+    the known symbols and take the peak of the antenna-summed periodogram
+    across PRIs.  With refine=True the periodogram is zero-padded 16-fold
+    and the peak is polished with a three-point parabolic fit;
+    refine=False returns the raw peak of the unpadded periodogram (error
+    bounded by half a Doppler bin).  The result is wrapped into
+    (-PRF/2, PRF/2].
     """
-    n_s = cube.pri_count
+    n_s = gate.shape[0]
     prf = system.prf_hz
-    z = despread_gate(cube, codes, d_hat)
-    z = z * np.asarray(symbols.symbols, dtype=float)[:, None]
+    z = gate * np.asarray(symbols.symbols, dtype=float)[:, None]
 
     nfft = n_s * _DOPPLER_PAD_FACTOR if refine else n_s
     spec = np.fft.fft(z, n=nfft, axis=0)

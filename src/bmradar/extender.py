@@ -70,8 +70,6 @@ class BlockerSet:
         vectors: (..., L) array of row vectors; returns the same shape.
         """
         q = self.bases[m]
-        if q.shape[1] == 0:
-            return np.array(vectors, copy=True)
         return vectors - (vectors @ np.conj(q)) @ q.T
 
 

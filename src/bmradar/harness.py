@@ -27,6 +27,7 @@ from .estimation import (
     GridSpec,
     SubspaceBasis,
     default_grid,
+    despread_gate,
     doa_dod_search,
     doppler_refine,
     estimate_signal_dim,
@@ -118,13 +119,24 @@ def run_scenario(
     """Synthesize one CPI and run the requested estimator chain(s).
 
     k defaults to the scenario's target count; estimate_k=True instead
-    takes the largest ratio gap of the fast-time covariance spectrum.
-    Stage 1 is shared; a ValueError past it fails only the method that
-    raised it, whose report then carries the message.
+    takes the largest ratio gap of the fast-time covariance spectrum, and
+    excludes k.  Both checks on k run before synthesis.  Stage 1 is
+    shared, and each stage-1 gate is despread once for the Doppler refine
+    and the baseline; a ValueError past stage 1 fails only the method
+    that raised it, whose report then carries the message.
     """
     methods = _resolve_methods(method)
     grid = default_grid(scenario, grid)
     system = scenario.system
+    if estimate_k and k is not None:
+        raise ValueError(f"k={k} and estimate_k exclude each other: give at most one")
+    k_eff = scenario.target_count if k is None else k
+    # nothing to look for: no target and no order asked for
+    idle = k is None and k_eff == 0 and not estimate_k
+    L = system.fast_time_bins
+    if not (estimate_k or idle or 0 < k_eff < L):
+        # a basis of all of C^L leaves no noise subspace
+        raise ValueError(f"signal_dim must be in (0, {L})")
 
     root = np.random.SeedSequence([_RUN_DOMAIN, scenario.rng_seed & 0xFFFFFFFF, int(seed)])
     code_seq, symbol_seq, synth_seq = root.spawn(3)
@@ -134,16 +146,15 @@ def run_scenario(
     )
     symbols = generate_symbols(system.pris_per_cpi, seed=symbol_seq)
     cube = synthesize_cube(scenario, codes, symbols, np.random.default_rng(synth_seq))
-    cube = dc_replace(cube, seed_trail=(
-        f"scenario_seed={scenario.rng_seed}", f"run_seed={int(seed)}",
-        "children=codes,symbols,synthesis",
-    ))
     if dump_cube_path is not None:
-        dump_cube(cube, dump_cube_path)
+        dump_cube(dc_replace(cube, seed_trail=(
+            f"scenario_seed={scenario.rng_seed}", f"run_seed={int(seed)}",
+            "children=codes,symbols,synthesis",
+        )), dump_cube_path)
 
     reports: dict[str, EstimateReport] = {}
     xi1_grid = xi2_grid = None
-    if scenario.target_count == 0 and k is None and not estimate_k:
+    if idle:
         for m in methods:
             reports[m] = EstimateReport(m, (), 0.0)
         return RunResult(scenario, int(seed), cube.truth, reports, code_kind)
@@ -157,17 +168,13 @@ def run_scenario(
         k_eff = estimate_signal_dim(head.eigenvalues[:head.signal_dim + 1])
         basis = dc_replace(head, basis=head.basis[:, :k_eff])
     else:
-        k_eff = k if k is not None else scenario.target_count
-        if not 0 < k_eff < len(cov):  # a basis of all of C^L leaves no noise subspace
-            raise ValueError(f"signal_dim must be in (0, {len(cov)})")
         basis = subspace_split(cov, k_eff)
     stage1_meta = _subspace_diagnostics(basis)
 
     stage1 = range_doppler_search(codes, k_eff, grid, system, basis)
-    refined = [
-        (d, doppler_refine(cube, codes, d, symbols, system, refine=refine_doppler))
-        for d, _, _ in stage1
-    ]
+    gates = [despread_gate(cube, codes, d) for d, _, _ in stage1]
+    refined = [(d, doppler_refine(gate, symbols, system, refine=refine_doppler))
+               for (d, _, _), gate in zip(stage1, gates)]
     stage1_elapsed = time.perf_counter() - t0
 
     if store_surfaces:
@@ -197,9 +204,8 @@ def run_scenario(
                 for (d, f_hat), (th, tb, val) in zip(refined, peaks)]
 
     def baseline_entries(metadata: dict) -> list[TargetEstimate]:
-        angles = baseline_mod.baseline_estimate(cube, scenario, codes,
-                                                [d for d, _ in refined], grid,
-                                                gate_music=baseline_gate_music)
+        angles = baseline_mod.baseline_estimate(cube, scenario, [d for d, _ in refined],
+                                                gates, grid, gate_music=baseline_gate_music)
         return [TargetEstimate(d, f_hat, doa, dod, 0.0, error)
                 for (d, f_hat), (doa, dod, error) in zip(refined, angles)]
 
@@ -249,10 +255,6 @@ def align_to_truth(
     assigned estimate.  Estimates lacking angles fall back to delay/Doppler
     distance so a range-only failure still pairs sensibly.
     """
-    if not truth:
-        return []
-    if not entries:
-        return [None] * len(truth)
     cost = np.zeros((len(truth), len(entries)))
     for i, t in enumerate(truth):
         for j, e in enumerate(entries):

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
+
+from .waveform import _degree_for
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -42,6 +45,42 @@ def _require(cond: bool, field_name: str, message: str) -> None:
         raise ScenarioError(f"{field_name}: {message}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A real number that is finite as a float (an int too large for a
+    float is not)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _require_numbers(obj, ints: tuple[str, ...], optional: tuple[str, ...] = (),
+                     levels: tuple[str, ...] = ()) -> None:
+    """Every field of obj is a number of its kind, checked before any
+    comparison: the names in ints are integers, every other field a
+    finite real, except that the levels may also be a float +-inf or NaN
+    (later checks narrow them).  A bool is neither, and only the optional
+    fields may be None."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is None and f.name in optional:
+            continue
+        if f.name in ints:
+            _require(_is_int(value), f.name, f"must be an integer (got {value!r})")
+        else:
+            _require(_is_real(value), f.name, f"must be a number (got {value!r})")
+            _require(_is_finite(value) or (f.name in levels and isinstance(value, float)),
+                     f.name, f"must be finite (got {value!r})")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Radar system constants for one coherent processing interval.
@@ -49,7 +88,8 @@ class SystemConfig:
     The fast-time extent of a PRI can be given either as ``pulses_per_pri``
     (PRI = pulses_per_pri * code_length chips) or as
     ``unambiguous_range_bins`` (PRI = 2 * unambiguous_range_bins chips).
-    Exactly one of the two must be set.
+    Exactly one of the two must be set.  The code length must be
+    2**r - 1 for a register degree the code generator supports.
     """
 
     carrier_frequency_hz: float = 1.3e9
@@ -66,10 +106,16 @@ class SystemConfig:
     unambiguous_range_bins: int | None = 262
 
     def __post_init__(self) -> None:
+        pri_extent = ("pulses_per_pri", "unambiguous_range_bins")
+        _require_numbers(self, ("code_length", "pris_per_cpi", "tx_count", "rx_count",
+                                *pri_extent), optional=pri_extent, levels=("snr_db", "scr_db"))
         _require(self.carrier_frequency_hz > 0, "carrier_frequency_hz", "must be > 0")
-        _require(math.isfinite(self.carrier_frequency_hz), "carrier_frequency_hz", "must be finite")
         _require(self.chip_period_s > 0, "chip_period_s", "must be > 0")
         _require(self.code_length >= 1, "code_length", "must be >= 1")
+        try:
+            _degree_for(self.code_length)
+        except ValueError as exc:
+            raise ScenarioError(f"code_length: {exc}") from None
         _require(self.pris_per_cpi >= 1, "pris_per_cpi", "must be >= 1")
         _require(self.tx_count >= 1, "tx_count", "must be >= 1")
         _require(self.rx_count >= 1, "rx_count", "must be >= 1")
@@ -155,15 +201,16 @@ class TargetSpec:
     motion_angle_deg: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_numbers(self, ("swerling_model",))
         _require(self.tx_range_bins > 0, "tx_range_bins", "must be > 0")
         _require(self.rx_range_bins > 0, "rx_range_bins", "must be > 0")
+        _require(math.isfinite(self.bistatic_range_bins), "tx_range_bins/rx_range_bins",
+                 "sum must be finite")
         for name in ("doa_deg", "dod_deg"):
             angle = getattr(self, name)
-            # NaN and infinities fail the comparison too
             _require(0.0 <= angle <= 180.0, name, f"must lie in [0, 180] degrees (got {angle})")
         _require(self.rcs_mean_m2 > 0, "rcs_mean_m2", "must be > 0")
         _require(self.swerling_model in (1, 2, 3), "swerling_model", "must be 1, 2 or 3")
-        _require(math.isfinite(self.velocity_mps), "velocity_mps", "must be finite")
 
     @property
     def bistatic_range_bins(self) -> float:
@@ -181,6 +228,7 @@ class Scenario:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        _require(_is_int(self.rng_seed), "rng_seed", f"must be an integer (got {self.rng_seed!r})")
         _require(self.tx_array is not None, "tx_array", "is required")
         _require(self.rx_array is not None, "rx_array", "is required")
         _require(
@@ -282,8 +330,11 @@ _TARGET_KEYS = {f.name for f in fields(TargetSpec)}
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
+    """Scenario of a JSON document; every malformed field is a
+    ScenarioError that names it."""
     if not isinstance(doc, dict):
         raise ScenarioError("document: top level must be a JSON object")
+    _require(isinstance(doc.get("system", {}), dict), "system", "must be an object")
     sys_doc = dict(doc.get("system", {}))
     unknown = set(sys_doc) - _SYSTEM_KEYS
     _require(not unknown, "system", f"unknown keys {sorted(unknown)}")
@@ -301,10 +352,18 @@ def scenario_from_dict(doc: dict) -> Scenario:
     def geometry(key: str) -> ArrayGeometry:
         g = doc.get(key)
         _require(isinstance(g, dict) and "coordinates" in g, key, "must supply coordinates")
-        return ArrayGeometry(tuple(tuple(float(v) for v in row) for row in g["coordinates"]))
+        rows = g["coordinates"]
+        _require(isinstance(rows, (list, tuple)) and len(rows) == 3
+                 and all(isinstance(row, (list, tuple)) and len(row) == len(rows[0])
+                         for row in rows)
+                 and all(_is_real(v) and _is_finite(v) for row in rows for v in row),
+                 f"{key}.coordinates", "must be 3 rows of M finite numbers each")
+        return ArrayGeometry(tuple(tuple(float(v) for v in row) for row in rows))
 
+    _require(isinstance(doc.get("targets", []), (list, tuple)), "targets", "must be a list")
     targets = []
     for idx, tdoc in enumerate(doc.get("targets", [])):
+        _require(isinstance(tdoc, dict), f"targets[{idx}]", "must be an object")
         unknown = set(tdoc) - _TARGET_KEYS
         _require(not unknown, f"targets[{idx}]", f"unknown keys {sorted(unknown)}")
         try:
@@ -319,7 +378,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         tx_array=geometry("tx_array"),
         rx_array=geometry("rx_array"),
         targets=tuple(targets),
-        rng_seed=int(doc.get("rng_seed", 0)),
+        rng_seed=doc.get("rng_seed", 0),
     )
 
 

@@ -55,16 +55,17 @@ GRAM_OFFDIAG_BOUND = 2.0
 
 @dataclass(frozen=True)
 class CodeMatrix:
-    """Code set for one Tx array.
+    """Code set for one Tx array: its chips and the PRI they sit in.
 
-    chips:     nc x n_bar matrix of +-1 chips (one column per antenna)
-    extended:  L x n_bar matrix, chips on top of zero rows out to the PRI
-    composite: length-L sum of the extended columns
+    chips:          nc x n_bar matrix of +-1 chips (one column per antenna)
+    fast_time_bins: L, chips per PRI (L >= nc)
+
+    The padded matrix and the composite code are derived from these two,
+    so they cannot disagree with the chips.
     """
 
     chips: np.ndarray
-    extended: np.ndarray
-    composite: np.ndarray
+    fast_time_bins: int
 
     @property
     def code_length(self) -> int:
@@ -75,8 +76,16 @@ class CodeMatrix:
         return self.chips.shape[1]
 
     @property
-    def fast_time_bins(self) -> int:
-        return self.extended.shape[0]
+    def extended(self) -> np.ndarray:
+        """L x n_bar matrix, chips on top of zero rows out to the PRI."""
+        out = np.zeros((self.fast_time_bins, self.tx_count))
+        out[:self.code_length] = self.chips
+        return out
+
+    @property
+    def composite(self) -> np.ndarray:
+        """Length-L row sum of the extended matrix."""
+        return self.extended.sum(axis=1)
 
     def gram(self) -> np.ndarray:
         """Normalised zero-lag code gram (1/nc) * chips.T @ chips."""
@@ -185,22 +194,15 @@ def generate_pn_codes(
         raise ValueError(f"unsupported code kind {kind!r} (use 'mseq' or 'gold')")
 
     _check_gram(chips)
-    return CodeMatrix(chips=chips, extended=chips.copy(), composite=chips.sum(axis=1))
+    return CodeMatrix(chips, nc)
 
 
 def extend_codes(codes: CodeMatrix, fast_time_bins: int) -> CodeMatrix:
-    """Zero-pad the code matrix out to the full PRI.
-
-    fast_time_bins is the total number of chips per PRI; rows past the code
-    length are zero.  The composite (row-sum) vector is recomputed.
-    """
-    nc = codes.code_length
-    if fast_time_bins < nc:
+    """The same chips in a PRI of fast_time_bins chips; rows past the code
+    length are zero."""
+    if fast_time_bins < codes.code_length:
         raise ValueError("fast_time_bins must be >= code length")
-    extended = np.zeros((fast_time_bins, codes.tx_count))
-    extended[:nc, :] = codes.chips
-    return CodeMatrix(chips=codes.chips, extended=extended,
-                      composite=extended.sum(axis=1))
+    return CodeMatrix(codes.chips, fast_time_bins)
 
 
 def symbol_matrix(symbols: SymbolSequence, codes: CodeMatrix) -> np.ndarray:

@@ -7,8 +7,12 @@ import pytest
 
 import bmradar as b
 from bmradar import baseline as bl
-from bmradar.estimation import default_grid
+from bmradar.estimation import default_grid, despread_gate
 from conftest import build_waveform, clean_cube
+
+
+def despread(cube, codes, delays):
+    return [despread_gate(cube, codes, d) for d in delays]
 
 
 def random_valid_triangle(rng):
@@ -195,7 +199,7 @@ class TestMusicDoaSpectrum:
         cube = b.synthesize_cube(s, codes, symbols, np.random.default_rng(5))
         grid = default_grid(s)
         for d in [t.delay_bins for t in cube.truth] + [0, 40, 300, 509]:
-            cov = bl._gate_covariance(cube, codes, d)
+            cov = bl._gate_covariance(despread_gate(cube, codes, d))
             spectrum, (peak,) = bl.music_doa_spectrum(cov, s, 1, grid.angle_deg,
                                                       grid.angle_refine_step_deg)
             assert not np.isnan(spectrum).any()
@@ -213,7 +217,8 @@ class TestBaselineEstimate:
         cube, codes, _, _ = clean_cube(s)
         t = cube.truth[0]
         grid = default_grid(s)
-        out = bl.baseline_estimate(cube, s, codes, [t.delay_bins], grid)
+        out = bl.baseline_estimate(cube, s, [t.delay_bins],
+                                   despread(cube, codes, [t.delay_bins]), grid)
         assert len(out) == 1
         (doa, dod, error), = out
         assert error is None
@@ -229,7 +234,7 @@ class TestBaselineEstimate:
         cube = b.synthesize_cube(s, codes, symbols, np.random.default_rng(31))
         delays = [t.delay_bins for t in cube.truth]
         grid = default_grid(s)
-        out = bl.baseline_estimate(cube, s, codes, delays, grid)
+        out = bl.baseline_estimate(cube, s, delays, despread(cube, codes, delays), grid)
         for (doa, dod, error), t in zip(out, cube.truth):
             assert error is None
             assert abs(doa - t.doa_deg) < 0.5
@@ -243,7 +248,7 @@ class TestBaselineEstimate:
         cube = b.synthesize_cube(s, codes, symbols, np.random.default_rng(35))
         delays = [t.delay_bins for t in cube.truth]
         grid = default_grid(s)
-        out = bl.baseline_estimate(cube, s, codes, delays, grid,
+        out = bl.baseline_estimate(cube, s, delays, despread(cube, codes, delays), grid,
                                    gate_music=True)
         for (doa, dod, _), t in zip(out, cube.truth):
             assert abs(doa - t.doa_deg) < 0.5
@@ -255,5 +260,5 @@ class TestBaselineEstimate:
         cube = b.synthesize_cube(s, codes, symbols, np.random.default_rng(33))
         delays = [t.delay_bins for t in cube.truth]
         doas = [100.0, 150.0, 130.0]  # deliberately scrambled
-        pairing = bl.associate_doa_to_range(cube, codes, s, delays, doas)
+        pairing = bl.associate_doa_to_range(despread(cube, codes, delays), s, doas)
         assert [doas[i] for i in pairing] == [150.0, 130.0, 100.0]

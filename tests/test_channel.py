@@ -255,18 +255,37 @@ class TestNoiseAndClutter:
 
 def _whole_cube_reference(scenario, codes, symbols, states, rng):
     """The synthesis formula over the whole cube, with complex temporaries:
-    every target added over all bins, then clutter and noise as a + 1j*b."""
+    every target added over all bins, then clutter and noise as a + 1j*b.
+
+    Target k adds coef[n] * w[l] * s_rx[i]: coef the slow-time
+    coefficients, w the delayed padded codes with the fast-time Doppler
+    phase, weighted by conj(s_tx).  Clutter is referenced to the echo
+    energy per sample, noise to the strongest target's mean sample power
+    over the bins it occupies (1 without targets)."""
     system = scenario.system
-    shape = (system.pris_per_cpi, system.fast_time_bins, system.rx_count)
+    shape = n_s, _, n_rx = (system.pris_per_cpi, system.fast_time_bins, system.rx_count)
+    a = np.asarray(symbols.symbols, dtype=float)
     samples = np.zeros(shape, dtype=complex)
-    for coef, s_rx, w in channel._target_components(scenario, codes, symbols, states):
+    powers, energy = [], 0.0
+    for target, state in zip(scenario.targets, states):
+        d, f = state.truth.delay_bins, state.truth.doppler_hz
+        delayed = np.roll(codes.extended, d, axis=0).astype(complex)
+        w = ((delayed * b.doppler_phase_vector(f, system)[:, None])
+             @ np.conj(b.spatial_manifold(scenario, "tx", target.dod_deg)))
+        coef = (math.sqrt(system.tx_power_w) * state.gain.value
+                * np.sqrt(state.rcs_draws / target.rcs_mean_m2) * a
+                * np.exp(2j * np.pi * f * np.arange(n_s) * system.pri_s))
+        s_rx = b.spatial_manifold(scenario, "rx", target.doa_deg)
         samples += coef[:, None, None] * w[None, :, None] * s_rx[None, None, :]
-    clean = channel.synthesize_targets(scenario, codes, symbols, states)
+        occupied = np.abs(w) ** 2
+        occupied = occupied[occupied > 1e-30]
+        powers.append(float(np.mean(np.abs(coef) ** 2) * np.mean(occupied)))
+        energy += float(np.sum(np.abs(coef) ** 2) * np.sum(np.abs(w) ** 2) * n_rx)
     levels = []
     if scenario.targets and not math.isinf(system.scr_db):
-        levels.append(clean.echo_energy_per_sample / 10.0 ** (system.scr_db / 10.0))
+        levels.append(energy / samples.size / 10.0 ** (system.scr_db / 10.0))
     if not math.isinf(system.snr_db):
-        levels.append((clean.echo_power or 1.0) / 10.0 ** (system.snr_db / 10.0))
+        levels.append((max(powers, default=0.0) or 1.0) / 10.0 ** (system.snr_db / 10.0))
     for var in levels:
         sigma = math.sqrt(var / 2.0)
         samples = samples + (rng.normal(0.0, sigma, shape)

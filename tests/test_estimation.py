@@ -691,7 +691,7 @@ class TestDopplerRefine:
     def test_noiseless_accuracy(self, paper_scenario):
         cube, codes, symbols, _, s = noiseless_single_target(paper_scenario)
         t = cube.truth[0]
-        f_hat = b.doppler_refine(cube, codes, t.delay_bins, symbols, s.system)
+        f_hat = b.doppler_refine(est.despread_gate(cube, codes, t.delay_bins), symbols, s.system)
         assert abs(f_hat - t.doppler_hz) < 0.1
 
     def test_zero_doppler(self, paper_scenario):
@@ -701,7 +701,7 @@ class TestDopplerRefine:
             targets=targets,
         )
         cube, codes, symbols, _ = clean_cube(s)
-        f_hat = b.doppler_refine(cube, codes, 152, symbols, s.system)
+        f_hat = b.doppler_refine(est.despread_gate(cube, codes, 152), symbols, s.system)
         assert abs(f_hat) < 0.1
 
     def test_noisy_within_two_hz(self, paper_scenario):
@@ -709,7 +709,7 @@ class TestDopplerRefine:
         cube = b.synthesize_cube(paper_scenario, codes, symbols,
                                  np.random.default_rng(13))
         for t in cube.truth:
-            f_hat = b.doppler_refine(cube, codes, t.delay_bins, symbols,
+            f_hat = b.doppler_refine(est.despread_gate(cube, codes, t.delay_bins), symbols,
                                      paper_scenario.system)
             assert abs(f_hat - t.doppler_hz) <= 2.0
 
@@ -719,21 +719,19 @@ class TestDopplerRefine:
         cube = b.synthesize_cube(paper_scenario, codes, symbols,
                                  np.random.default_rng(14))
         for t in cube.truth:
-            f_hat = b.doppler_refine(cube, codes, t.delay_bins, symbols,
+            f_hat = b.doppler_refine(est.despread_gate(cube, codes, t.delay_bins), symbols,
                                      paper_scenario.system, refine=False)
             assert abs(f_hat - t.doppler_hz) <= d_par.prf_hz / (2 * 256)
 
     def test_range_ambiguous_gate_rejected(self):
         # the despread gate shares the code signatures' range check
         s = make_tiny_scenario()
-        cube, codes, symbols, _ = clean_cube(s)
+        cube, codes, _, _ = clean_cube(s)
         last = s.system.fast_time_bins - s.system.code_length
         assert est.despread_gate(cube, codes, last).shape == (cube.pri_count, cube.rx_count)
         for d in (-1, last + 1):
             with pytest.raises(ValueError, match=rf"range-ambiguous.*0 <= d <= {last}"):
                 est.despread_gate(cube, codes, d)
-            with pytest.raises(ValueError, match=rf"range-ambiguous.*0 <= d <= {last}"):
-                b.doppler_refine(cube, codes, d, symbols, s.system)
 
 
 class TestXi2:

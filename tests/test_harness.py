@@ -143,14 +143,23 @@ class TestRunScenario:
 
     def test_signal_dim_at_the_pri_length_fails_before_stage_1(self, tiny_noisy,
                                                                monkeypatch):
+        # before synthesis, too, and with no target to look for
         calls = []
         monkeypatch.setattr(harness, "range_doppler_search",
                             lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(harness, "synthesize_cube", _no_synthesis)
         L = tiny_noisy.system.fast_time_bins
-        for k in (L, L + 1):
-            with pytest.raises(ValueError, match=rf"signal_dim must be in \(0, {L}\)"):
-                b.run_scenario(tiny_noisy, method="both", seed=1, k=k)
+        for scenario, k in [(tiny_noisy, k) for k in (0, -1, L, L + 1)] + [
+                (replace(tiny_noisy, targets=()), 0)]:
+            with pytest.raises(ValueError, match=rf"^signal_dim must be in \(0, {L}\)$"):
+                b.run_scenario(scenario, method="both", seed=1, k=k)
         assert calls == []
+
+    def test_k_with_estimate_k_is_rejected_before_synthesis(self, paper_scenario,
+                                                            monkeypatch):
+        monkeypatch.setattr(harness, "synthesize_cube", _no_synthesis)
+        with pytest.raises(ValueError, match="k=2 and estimate_k exclude each other"):
+            b.run_scenario(paper_scenario, method="both", seed=1, k=2, estimate_k=True)
 
     @pytest.mark.parametrize("side, kept, missing", [("rx", "dod_deg", "doa_deg"),
                                                      ("tx", "doa_deg", "dod_deg")])
@@ -861,6 +870,23 @@ class TestCli:
             assert len(lines) > 10
             _long_column_grid_csv(tmp_path / name, header, *surface)
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["run", "mc", "grids"])
+    def test_bad_scenario_is_a_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(harness, "synthesize_cube", _no_synthesis)
+        doc = json.loads(self._write_tiny(tmp_path).read_text())
+        doc["system"]["code_length"] = 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        missing = tmp_path / "missing.json"
+        for path, message in ((bad, "code_length: must be >= 1"),
+                              (missing, f"{missing}: ")):
+            with pytest.raises(SystemExit) as exc:
+                cli_main([command, "--scenario", str(path), "--out", str(tmp_path / "out")])
+            assert exc.value.code == 2
+            last = capsys.readouterr().err.splitlines()[-1]
+            assert last.startswith(f"radar: error: argument --scenario: {message}")
+            assert not (tmp_path / "out").exists()
 
     def test_default_scenario_is_bundled(self, tmp_path):
         # no --scenario: the bundled configuration loads (smoke, k=0 runs fast)

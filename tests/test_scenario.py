@@ -238,6 +238,114 @@ class TestLoadSave:
             scenario_from_dict(doc)
 
 
+def _paper_doc() -> dict:
+    return json.loads(b.default_scenario_path().read_text())
+
+
+def _set(doc: dict, path: tuple, value) -> dict:
+    """doc with the entry at path (keys and list indices) replaced."""
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# (entry path, value, field the error must start with): one entry of
+# paper.json replaced
+_BAD_FIELDS = [
+    (("system",), 5, "system"),
+    (("system",), [1], "system"),
+    (("targets",), 5, "targets"),
+    (("targets",), [5], r"targets\[0\]"),
+    (("tx_array", "coordinates"), None, r"tx_array\.coordinates"),
+    (("tx_array", "coordinates"), [1, 2, 3], r"tx_array\.coordinates"),
+    (("rx_array", "coordinates", 0, 1), "0.028", r"rx_array\.coordinates"),
+    (("rx_array", "coordinates", 2), [0.0, 0.0], r"rx_array\.coordinates"),
+    (("rng_seed",), "abc", "rng_seed"),
+    (("rng_seed",), 1.7, "rng_seed"),
+    (("system", "pris_per_cpi"), 256.0, "pris_per_cpi"),
+    (("system", "tx_count"), 5.0, "tx_count"),
+    (("system", "code_length"), True, "code_length"),
+    (("system", "code_length"), 1, "code_length"),
+    (("system", "chip_period_s"), math.inf, "chip_period_s"),
+    (("system", "tx_power_w"), math.inf, "tx_power_w"),
+    (("system", "baseline_bins"), "95", "baseline_bins"),
+    (("targets", 0, "swerling_model"), 1.0, r"targets\[0\]\.swerling_model"),
+    (("targets", 0, "rcs_mean_m2"), math.inf, r"targets\[0\]\.rcs_mean_m2"),
+    (("targets", 1, "motion_angle_deg"), math.nan, r"targets\[1\]\.motion_angle_deg"),
+    (("targets", 2, "bistatic_angle_deg"), math.nan,
+     r"targets\[2\]\.bistatic_angle_deg"),
+    (("targets", 2, "tx_range_bins"), 10**400, r"targets\[2\]\.tx_range_bins"),
+]
+
+
+class TestMalformedDocument:
+    """One field of paper.json changed: a ScenarioError naming the field."""
+
+    @pytest.mark.parametrize("path, value, field", _BAD_FIELDS, ids=[
+        ".".join(map(str, path)) + "=" + repr(value)[:12] for path, value, _ in _BAD_FIELDS])
+    def test_named_at_load(self, path, value, field):
+        with pytest.raises(ScenarioError, match=rf"^{field}: "):
+            scenario_from_dict(_set(_paper_doc(), path, value))
+
+    def test_range_sum_must_be_finite(self):
+        # each range is finite, their sum overflows to inf
+        doc = _set(_set(_paper_doc(), ("targets", 0, "tx_range_bins"), 1e308),
+                   ("targets", 0, "rx_range_bins"), 1e308)
+        with pytest.raises(ScenarioError, match=r"^targets\[0\]\.tx_range_bins/rx_range_bins: "):
+            scenario_from_dict(doc)
+
+    def test_code_length_follows_the_generator(self):
+        # 2**r - 1 for a register degree generate_pn_codes supports
+        with pytest.raises(ScenarioError, match=r"^code_length: code length 16 is not 2\*\*r - 1"):
+            scenario_from_dict(_set(_paper_doc(), ("system", "code_length"), 16))
+
+    def test_infinite_levels_still_mean_disabled(self):
+        doc = _set(_set(_paper_doc(), ("system", "snr_db"), math.inf),
+                   ("system", "scr_db"), math.inf)
+        s = scenario_from_dict(doc)
+        assert s.system.snr_db == s.system.scr_db == math.inf
+
+    def test_integral_and_numpy_values_still_load(self):
+        doc = _set(_paper_doc(), ("system", "chip_period_s"), 1)
+        assert scenario_from_dict(doc).system.chip_period_s == 1
+        system = b.SystemConfig(pris_per_cpi=np.int64(16), baseline_bins=np.float64(95.0))
+        assert system.pris_per_cpi == 16
+
+
+def _entry_paths(node, prefix=()):
+    """Key paths to every section, list and value of a scenario document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _entry_paths(child, prefix + (key,))
+
+
+_PAPER_PATHS = list(_entry_paths(_paper_doc()))
+_WRONG_VALUES = [None, True, False, "abc", "1.0", "", 1.7, 256.0, 0, -1, 5, 16, 2**40,
+                 10**400, math.inf, -math.inf, math.nan, 1e308, [], [5], [1, 2, 3],
+                 [[1.0], [2.0], [3.0]], {}, {"x": 1}]
+
+
+class TestDocumentFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_PAPER_PATHS), st.sampled_from(_WRONG_VALUES))
+    def test_loads_or_names_the_field(self, path, value):
+        import tempfile
+        from pathlib import Path
+
+        doc = _set(_paper_doc(), path, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            file = Path(tmp) / "s.json"
+            file.write_text(json.dumps(doc))
+            try:
+                b.load_scenario(file)
+            except ScenarioError:
+                pass
+
+
 @st.composite
 def valid_scenarios(draw):
     l_bi = draw(st.floats(min_value=1.0, max_value=50.0))
