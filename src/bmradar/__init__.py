@@ -34,7 +34,6 @@ from .manifold import (
 )
 from .channel import (
     DataCube,
-    PathGain,
     TargetTruth,
     draw_target_states,
     dump_cube,

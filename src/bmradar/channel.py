@@ -26,7 +26,6 @@ from .scenario import Scenario, SystemConfig, TargetSpec, truth_from_geometry
 from .waveform import CodeMatrix, SymbolSequence
 
 __all__ = [
-    "PathGain",
     "TargetTruth",
     "TargetState",
     "DataCube",
@@ -41,19 +40,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PathGain:
-    """Two-way propagation gain: magnitude from the radar equation, phase
-    from the carrier delay plus a random per-CPI term."""
-
-    magnitude: float
-    phase_rad: float
-
-    @property
-    def value(self) -> complex:
-        return self.magnitude * np.exp(1j * self.phase_rad)
-
-
-@dataclass(frozen=True)
 class TargetTruth:
     """Parameters actually used to synthesize one target."""
 
@@ -65,16 +51,17 @@ class TargetTruth:
 
 @dataclass(frozen=True)
 class TargetState:
-    """Frozen random draws for one target over one CPI."""
+    """Frozen random draws for one target over one CPI; gain is
+    path_gain's complex two-way gain."""
 
     truth: TargetTruth
-    gain: PathGain
+    gain: complex
     rcs_draws: np.ndarray  # per-PRI RCS sample(s), length n_s
 
 
 @dataclass(frozen=True)
 class DataCube:
-    """One CPI of Rx snapshots, shape (pris, fast_time_bins, rx_count).
+    """One CPI of Rx snapshots, shape (PRIs, fast-time bins, Rx antennas).
 
     echo_power is the strongest target's per-element echo sample power over
     its occupied bins (the SNR reference); echo_energy_per_sample is the
@@ -89,20 +76,12 @@ class DataCube:
     seed_trail: tuple[str, ...] = ()
 
     @property
-    def pri_count(self) -> int:
-        return self.samples.shape[0]
-
-    @property
     def fast_time_bins(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def rx_count(self) -> int:
-        return self.samples.shape[2]
 
-
-def path_gain(target: TargetSpec, system: SystemConfig, rng: np.random.Generator) -> PathGain:
-    """Two-way gain for unit antenna gains.
+def path_gain(target: TargetSpec, system: SystemConfig, rng: np.random.Generator) -> complex:
+    """Complex two-way gain for unit antenna gains.
 
     Magnitude: sqrt(1/(4*pi)**3) * wavelength / (R_tx * R_rx) * sqrt(rcs),
     ranges in metres.  Phase: carrier round-trip delay plus a uniform
@@ -119,7 +98,7 @@ def path_gain(target: TargetSpec, system: SystemConfig, rng: np.random.Generator
     )
     carrier_phase = -2.0 * math.pi * (r_tx_m + r_rx_m) / system.wavelength_m
     psi = rng.uniform(0.0, 2.0 * math.pi)
-    return PathGain(magnitude=magnitude, phase_rad=carrier_phase + psi)
+    return magnitude * np.exp(1j * (carrier_phase + psi))
 
 
 def swerling_amplitude(
@@ -183,7 +162,8 @@ def synthesize_targets(
     reference candidate; the strongest target's becomes echo_power.
     """
     system = scenario.system
-    n_s, L, n_rx = system.pris_per_cpi, system.fast_time_bins, system.rx_count
+    n_s, L = system.pris_per_cpi, system.fast_time_bins
+    n_rx = scenario.rx_array.element_count
     pri = system.pri_s
     a = np.asarray(symbols.symbols, dtype=float)
     samples = np.zeros((n_s, L, n_rx), dtype=complex)
@@ -199,7 +179,7 @@ def synthesize_targets(
         # fluctuation scales the amplitude by sqrt(drawn rcs / mean rcs)
         amp = np.sqrt(state.rcs_draws / target.rcs_mean_m2)
         slow_phase = np.exp(2j * np.pi * f * np.arange(n_s) * pri)
-        coef = math.sqrt(system.tx_power_w) * state.gain.value * amp * a * slow_phase
+        coef = math.sqrt(system.tx_power_w) * state.gain * amp * a * slow_phase
         # outer product per PRI, added over the code support alone since w
         # is zero outside it
         support = slice(d, d + codes.code_length)

@@ -5,10 +5,11 @@ Subcommands:
   mc     Monte Carlo RMSE over an SNR sweep, write rmse.csv (+ failures.csv)
   grids  one CPI, write the stage-1 and stage-2 cost surfaces as CSV
 
-A scenario file that cannot be loaded is a usage error of --scenario
-(exit status 2).  A stage-1 search that finds fewer peaks than the
-target count ends run and grids with one error line and exit status 1,
-before any output.
+A scenario file that cannot be loaded is a usage error of --scenario,
+and a code family that cannot give the scenario's Tx elements distinct
+codes of its code length one of --code-kind (exit status 2).  A stage-1
+search that finds fewer peaks than the target count ends run and grids
+with one error line and exit status 1, before any output.
 
 The bundled default scenario is used when --scenario is omitted.
 """
@@ -24,12 +25,20 @@ import numpy as np
 from .estimation import GridSpec, PeakError
 from .harness import emit_outputs, monte_carlo_rmse, run_scenario
 from .scenario import ScenarioError, default_scenario_path, load_scenario
+from .waveform import generate_pn_codes
 
 
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1 (got {value})")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (got {value})")
     return value
 
 
@@ -49,7 +58,8 @@ def _snr_list(text: str) -> list[float]:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", default=None,
                    help="scenario JSON (default: bundled paper.json)")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--seed", type=_nonnegative_int, default=0,
+                   help="master seed (>= 0)")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--code-kind", choices=("mseq", "gold"), default="mseq",
                    help="spreading code family")
@@ -134,7 +144,12 @@ def main(argv: list[str] | None = None) -> int:
         scenario = _load(args)
     except ScenarioError as exc:
         parser.error(f"argument --scenario: {exc}")
-    L = scenario.system.fast_time_bins
+    system = scenario.system
+    try:  # the code set's feasibility does not depend on the seed
+        generate_pn_codes(system.tx_count, system.code_length, args.code_kind, seed=0)
+    except ValueError as exc:
+        parser.error(f"argument --code-kind: {exc}")
+    L = system.fast_time_bins
     if args.command != "mc" and args.known_k is not None and not 0 < args.known_k < L:
         # a basis of all of C^L leaves no noise subspace
         parser.error(f"argument --known-k: must be in (0, {L}) for this scenario "

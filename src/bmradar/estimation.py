@@ -480,26 +480,23 @@ def range_doppler_search(
     grid: GridSpec,
     system: SystemConfig,
     basis: SubspaceBasis,
-) -> list[tuple[int, float, float]]:
-    """Stage-1 search: k best (delay, coarse Doppler, peak value) triples.
+) -> list[int]:
+    """Stage-1 search: the k picked delays, in pick order.
 
     Scans the whole (delay, Doppler) grid.  A peak suppresses every
     Doppler within one code length in delay, which guarantees k distinct
     ranges; each delay row can therefore only contribute its maximum, so
-    the peaks are picked among the row maxima (ties on the lowest Doppler
-    index, then the lowest delay index).  basis is the fast-time signal
-    subspace the surface is scored against.
+    the peaks are picked among the row maxima (ties on the lowest delay
+    index; a row holding NaN is skipped).  The Doppler of each target
+    comes from doppler_refine on its despread gate.  basis is the
+    fast-time signal subspace the surface is scored against.
     """
     surface = xi1_surface(codes, basis, system, grid.range_bins, grid.doppler_hz)
-    cols = surface.argmax(axis=1)
-    best = surface[np.arange(len(cols)), cols]
-    rows = greedy_peaks(best, grid.range_bins.astype(float), float(codes.code_length), k)
-    found = [
-        (int(grid.range_bins[i]), float(grid.doppler_hz[cols[i]]), float(best[i]))
-        for i in rows
-    ]
+    rows = greedy_peaks(surface.max(axis=1), grid.range_bins.astype(float),
+                        float(codes.code_length), k)
+    found = [int(grid.range_bins[i]) for i in rows]
     if len(found) < k:
-        raise PeakError(f"found only {len(found)} of {k} requested peaks: {found}")
+        raise PeakError(f"found only {len(found)} of {k} requested peaks: delays {found}")
     return found
 
 
@@ -512,7 +509,7 @@ def despread_gate(cube: DataCube, codes: CodeMatrix, delay: int) -> np.ndarray:
     """
     nc = codes.code_length
     rows = _code_rows(delay, nc, cube.fast_time_bins)
-    cs = codes.composite[:nc].astype(complex)
+    cs = codes.composite.astype(complex)
     return np.einsum("q,nqi->ni", np.conj(cs), cube.samples[:, rows, :])
 
 

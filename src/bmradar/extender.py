@@ -154,7 +154,7 @@ def _orthonormal_basis(matrix: np.ndarray) -> np.ndarray:
     if matrix.shape[1] == 0:
         return np.zeros((matrix.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(matrix, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    if s[0] == 0.0:
         raise ValueError("blocking matrix is all zero; estimates are degenerate")
     keep = s > RANK_TOLERANCE * s[0]
     return u[:, keep]

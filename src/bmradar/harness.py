@@ -77,7 +77,8 @@ class TargetEstimate:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    method: str
+    """One method's estimates; RunResult.reports keys it by method."""
+
     entries: tuple[TargetEstimate, ...]
     elapsed_s: float
     metadata: dict = field(default_factory=dict)
@@ -120,10 +121,12 @@ def run_scenario(
 
     k defaults to the scenario's target count; estimate_k=True instead
     takes the largest ratio gap of the fast-time covariance spectrum, and
-    excludes k.  Both checks on k run before synthesis.  Stage 1 is
-    shared, and each stage-1 gate is despread once for the Doppler refine
-    and the baseline; a ValueError past stage 1 fails only the method
-    that raised it, whose report then carries the message.
+    excludes k.  Both checks on k run before synthesis.  With no target,
+    and either no order asked for or no noise (an all-zero cube), every
+    report is empty.  Stage 1 is shared and hands on its delays alone;
+    each delay's gate is despread once for the Doppler refine and the
+    baseline.  A ValueError past stage 1 fails only the method that
+    raised it, whose report then carries the message.
     """
     methods = _resolve_methods(method)
     grid = default_grid(scenario, grid)
@@ -131,8 +134,9 @@ def run_scenario(
     if estimate_k and k is not None:
         raise ValueError(f"k={k} and estimate_k exclude each other: give at most one")
     k_eff = scenario.target_count if k is None else k
-    # nothing to look for: no target and no order asked for
-    idle = k is None and k_eff == 0 and not estimate_k
+    # nothing to look for: no target, and no order asked for or none to
+    # estimate from a cube with neither echo nor noise
+    idle = k is None and k_eff == 0 and (not estimate_k or system.snr_db == math.inf)
     L = system.fast_time_bins
     if not (estimate_k or idle or 0 < k_eff < L):
         # a basis of all of C^L leaves no noise subspace
@@ -156,7 +160,7 @@ def run_scenario(
     xi1_grid = xi2_grid = None
     if idle:
         for m in methods:
-            reports[m] = EstimateReport(m, (), 0.0)
+            reports[m] = EstimateReport((), 0.0)
         return RunResult(scenario, int(seed), cube.truth, reports, code_kind)
 
     t0 = time.perf_counter()
@@ -171,10 +175,10 @@ def run_scenario(
         basis = subspace_split(cov, k_eff)
     stage1_meta = _subspace_diagnostics(basis)
 
-    stage1 = range_doppler_search(codes, k_eff, grid, system, basis)
-    gates = [despread_gate(cube, codes, d) for d, _, _ in stage1]
+    delays = range_doppler_search(codes, k_eff, grid, system, basis)
+    gates = [despread_gate(cube, codes, d) for d in delays]
     refined = [(d, doppler_refine(gate, symbols, system, refine=refine_doppler))
-               for (d, _, _), gate in zip(stage1, gates)]
+               for d, gate in zip(delays, gates)]
     stage1_elapsed = time.perf_counter() - t0
 
     if store_surfaces:
@@ -204,8 +208,8 @@ def run_scenario(
                 for (d, f_hat), (th, tb, val) in zip(refined, peaks)]
 
     def baseline_entries(metadata: dict) -> list[TargetEstimate]:
-        angles = baseline_mod.baseline_estimate(cube, scenario, [d for d, _ in refined],
-                                                gates, grid, gate_music=baseline_gate_music)
+        angles = baseline_mod.baseline_estimate(cube, scenario, delays, gates, grid,
+                                                gate_music=baseline_gate_music)
         return [TargetEstimate(d, f_hat, doa, dod, 0.0, error)
                 for (d, f_hat), (doa, dod, error) in zip(refined, angles)]
 
@@ -222,7 +226,7 @@ def run_scenario(
             entries = tuple(TargetEstimate(d, f, None, None, 0.0, metadata["error"])
                             for d, f in refined)
         reports[m] = EstimateReport(
-            m, entries, stage1_elapsed + time.perf_counter() - t1, metadata)
+            entries, stage1_elapsed + time.perf_counter() - t1, metadata)
 
     if coarse is not None:
         # the summed surface from the per-context stack the search scored

@@ -98,7 +98,7 @@ def temporal_signature(
     """
     # the composite is one column, phased once: a sum of the phased columns
     # of transformation_matrix would round differently
-    return _delayed_codes(codes.composite[:codes.code_length, None], d, f_hz, system)[:, 0]
+    return _delayed_codes(codes.composite.reshape(-1, 1), d, f_hz, system)[:, 0]
 
 
 def extended_manifold(

@@ -167,15 +167,24 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Antenna element positions as a 3 x M matrix of metres (x, y, z rows)."""
+    """Antenna element positions as a 3 x M matrix of metres (x, y, z rows).
+
+    The coordinates must be 3 equal-length rows of at least one finite
+    real number each (a bool is not one); they are stored as float tuples.
+    """
 
     coordinates: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        coords = np.asarray(self.coordinates, dtype=float)
-        _require(coords.ndim == 2 and coords.shape[0] == 3, "coordinates", "must be 3 x M")
-        _require(coords.shape[1] >= 1, "coordinates", "must hold at least one element")
-        _require(bool(np.all(np.isfinite(coords))), "coordinates", "entries must be finite")
+        rows = self.coordinates
+        _require(isinstance(rows, (list, tuple)) and len(rows) == 3
+                 and all(isinstance(row, (list, tuple)) and len(row) == len(rows[0])
+                         for row in rows)
+                 and all(_is_real(v) and _is_finite(v) for row in rows for v in row),
+                 "coordinates", "must be 3 rows of M finite numbers each")
+        _require(len(rows[0]) >= 1, "coordinates", "must hold at least one element")
+        object.__setattr__(self, "coordinates",
+                           tuple(tuple(float(v) for v in row) for row in rows))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -344,21 +353,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
             sys_doc[k] = math.inf
     if "pulses_per_pri" in sys_doc and "unambiguous_range_bins" not in sys_doc:
         sys_doc["unambiguous_range_bins"] = None
-    try:
-        system = SystemConfig(**sys_doc)
-    except TypeError as exc:
-        raise ScenarioError(f"system: {exc}") from exc
+    system = SystemConfig(**sys_doc)
 
     def geometry(key: str) -> ArrayGeometry:
         g = doc.get(key)
         _require(isinstance(g, dict) and "coordinates" in g, key, "must supply coordinates")
-        rows = g["coordinates"]
-        _require(isinstance(rows, (list, tuple)) and len(rows) == 3
-                 and all(isinstance(row, (list, tuple)) and len(row) == len(rows[0])
-                         for row in rows)
-                 and all(_is_real(v) and _is_finite(v) for row in rows for v in row),
-                 f"{key}.coordinates", "must be 3 rows of M finite numbers each")
-        return ArrayGeometry(tuple(tuple(float(v) for v in row) for row in rows))
+        try:
+            return ArrayGeometry(g["coordinates"])
+        except ScenarioError as exc:
+            raise ScenarioError(f"{key}.{exc}") from None
 
     _require(isinstance(doc.get("targets", []), (list, tuple)), "targets", "must be a list")
     targets = []

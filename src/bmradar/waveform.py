@@ -61,7 +61,8 @@ class CodeMatrix:
     fast_time_bins: L, chips per PRI (L >= nc)
 
     The padded matrix and the composite code are derived from these two,
-    so they cannot disagree with the chips.
+    so they cannot disagree with the chips.  The composite is the chips'
+    row sum, nc long: the delay places it in the PRI.
     """
 
     chips: np.ndarray
@@ -84,12 +85,8 @@ class CodeMatrix:
 
     @property
     def composite(self) -> np.ndarray:
-        """Length-L row sum of the extended matrix."""
-        return self.extended.sum(axis=1)
-
-    def gram(self) -> np.ndarray:
-        """Normalised zero-lag code gram (1/nc) * chips.T @ chips."""
-        return self.chips.T @ self.chips / self.code_length
+        """Length-nc composite code: the row sum of the chips."""
+        return self.chips.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -102,9 +99,6 @@ class SymbolSequence:
         vals = np.unique(self.symbols)
         if not np.all(np.isin(vals, (-1, 1))):
             raise ValueError("symbols must be +-1")
-
-    def __len__(self) -> int:
-        return len(self.symbols)
 
 
 def _lfsr_sequence(poly: int, degree: int) -> np.ndarray:
@@ -126,7 +120,8 @@ def _lfsr_sequence(poly: int, degree: int) -> np.ndarray:
 
 
 def _degree_for(nc: int) -> int:
-    degree = int(round(np.log2(nc + 1)))
+    # integer arithmetic: a length beyond float range has no log2
+    degree = int(nc).bit_length()
     if (1 << degree) - 1 != nc or degree not in _PRIMITIVE_POLY:
         raise ValueError(
             f"code length {nc} is not 2**r - 1 for a supported register degree"

@@ -316,7 +316,7 @@ class TestCriterion6PropertySuites:
         # code gram bound for both families
         for kind in ("mseq", "gold"):
             codes_k = b.generate_pn_codes(5, 15, kind, seed=1)
-            gram = codes_k.gram()
+            gram = codes_k.chips.T @ codes_k.chips / 15
             off = np.abs(gram - np.diag(np.diag(gram)))
             assert np.all(np.abs(np.diag(gram) - 1.0) < 1e-12)
             assert off.max() <= 2.0 / 15

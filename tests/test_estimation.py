@@ -352,8 +352,8 @@ class TestSubspaceSplit:
 
     def test_stage1_delays_equal_the_eigh_basis_at_0_db(self, paper_scenario, monkeypatch):
         # the criterion-5 sweep's 0 dB CPIs, where the solver converges
-        # slowest: stage 1 picks the (delay, coarse Doppler) pairs that the
-        # full eigendecomposition's basis picks
+        # slowest: stage 1 picks the delays that the full
+        # eigendecomposition's basis picks
         scenario = paper_scenario.with_system(snr_db=0.0, scr_db=float("inf"))
         picks, covs = [], []
 
@@ -366,7 +366,7 @@ class TestSubspaceSplit:
             reference = est.SubspaceBasis(vecs, vals)
             got, want = (est.range_doppler_search(codes, k, grid, system, u)
                          for u in (basis, reference))
-            picks.append(([p[:2] for p in got], [p[:2] for p in want]))
+            picks.append((got, want))
             return got
 
         monkeypatch.setattr(harness, "temporal_covariance", kept_covariance)
@@ -580,17 +580,20 @@ class TestRangeDopplerSearch:
             doppler_hz=np.array([t.doppler_hz - 30, t.doppler_hz - 15,
                                  t.doppler_hz, t.doppler_hz + 15])
         ))
-        peaks = _stage1(cube, codes, 1, grid, s.system)
-        assert peaks[0][0] == t.delay_bins
-        assert peaks[0][1] == pytest.approx(t.doppler_hz)
+        basis = est.subspace_split(est.temporal_covariance(cube), 1)
+        delays = est.range_doppler_search(codes, 1, grid, s.system, basis)
+        assert delays == [t.delay_bins]
+        # the picked delay's row of the surface peaks at the true Doppler
+        row = est.xi1_surface(codes, basis, s.system, np.array(delays), grid.doppler_hz)[0]
+        assert grid.doppler_hz[row.argmax()] == pytest.approx(t.doppler_hz)
 
     def test_paper_default_ranges(self, paper_scenario):
         codes, symbols = build_waveform(paper_scenario)
         cube = b.synthesize_cube(paper_scenario, codes, symbols,
                                  np.random.default_rng(11))
         grid = est.default_grid(paper_scenario)
-        peaks = _stage1(cube, codes, 3, grid, paper_scenario.system)
-        assert sorted(p[0] for p in peaks) == [152, 189, 228]
+        delays = _stage1(cube, codes, 3, grid, paper_scenario.system)
+        assert sorted(delays) == [152, 189, 228]
 
     @settings(max_examples=300, deadline=None)
     @given(stage1_surfaces())
@@ -599,8 +602,7 @@ class TestRangeDopplerSearch:
         dopplers = np.linspace(-500.0, 500.0, surface.shape[1])
         grid = est.GridSpec(range_bins=delays, doppler_hz=dopplers)
         codes = SimpleNamespace(code_length=radius)
-        want = [(int(delays[i]), float(dopplers[j]), float(surface[i, j]))
-                for i, j in _greedy_peaks_2d(surface, delays, radius, k)]
+        want = [int(delays[i]) for i, _ in _greedy_peaks_2d(surface, delays, radius, k)]
         with mock.patch.object(est, "xi1_surface", lambda *args: surface):
             if len(want) < k:
                 with pytest.raises(est.PeakError, match=f"found only {len(want)} of {k}"):
@@ -728,7 +730,8 @@ class TestDopplerRefine:
         s = make_tiny_scenario()
         cube, codes, _, _ = clean_cube(s)
         last = s.system.fast_time_bins - s.system.code_length
-        assert est.despread_gate(cube, codes, last).shape == (cube.pri_count, cube.rx_count)
+        assert est.despread_gate(cube, codes, last).shape == (s.system.pris_per_cpi,
+                                                               s.system.rx_count)
         for d in (-1, last + 1):
             with pytest.raises(ValueError, match=rf"range-ambiguous.*0 <= d <= {last}"):
                 est.despread_gate(cube, codes, d)

@@ -198,7 +198,7 @@ class TestApplyVirtualExtension:
         blockers = b.build_blockers(codes, [(5, 800.0)], tiny_scenario.system)
         virtual = b.apply_virtual_extension(cube, blockers)
         n_bar = tiny_scenario.system.tx_count
-        for n in range(cube.pri_count):
+        for n in range(cube.samples.shape[0]):
             x_st = cube.samples[n].T.reshape(-1)
             bound = np.sqrt(n_bar) * np.linalg.norm(x_st)
             assert np.linalg.norm(virtual.matrix[:, n]) <= bound + 1e-12

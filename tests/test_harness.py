@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bmradar as b
 from bmradar import cli, estimation, harness
@@ -38,10 +40,13 @@ class TestRunScenario:
         assert (e1.doppler_hz, e1.doa_deg) != (e2.doppler_hz, e2.doa_deg)
 
     def test_no_targets_clean_exit(self):
-        s = make_tiny_scenario(targets=(), snr_db=20.0)
-        result = b.run_scenario(s, method="both", seed=0)
-        for m in ("vst", "baseline"):
-            assert result.reports[m].entries == ()
+        # noise alone, and no noise either: estimate_k then has an all-zero
+        # cube and no order to estimate
+        for s, options in ((make_tiny_scenario(targets=(), snr_db=20.0), {}),
+                           (make_tiny_scenario(targets=()), {"estimate_k": True})):
+            result = b.run_scenario(s, method="both", seed=0, **options)
+            for m in ("vst", "baseline"):
+                assert result.reports[m].entries == ()
 
     def test_tiny_estimates_near_truth(self, tiny_noisy):
         result = b.run_scenario(tiny_noisy, method="vst", seed=3)
@@ -178,6 +183,86 @@ class TestRunScenario:
         assert abs(e.doppler_hz - t.doppler_hz) < 200.0
         assert e.peak > 1.0
         assert "error" not in result.reports["vst"].metadata
+
+
+def _tiny_run(nc, pulses, n_tx, n_rx, n_s, snr_db, scr_db, targets, rng_seed,
+              estimate_k=False, gate_music=False, seed=0):
+    """A tiny scenario and the run_scenario options to run it with.
+
+    targets are (bistatic range as a fraction of the span from just past
+    the baseline to the last delay whose code fits the PRI, range
+    difference as a fraction of the baseline, DOA, DOD, velocity)."""
+    last = (pulses - 1) * nc
+    baseline = 0.5 * last
+    specs = []
+    for frac, diff, doa, dod, velocity in targets:
+        r_bi = baseline + 0.01 + frac * (last - baseline - 0.01)
+        delta = 0.99 * diff * baseline
+        specs.append(b.TargetSpec((r_bi + delta) / 2, (r_bi - delta) / 2, doa, dod,
+                                  abs(doa - dod), velocity_mps=velocity))
+    system = b.SystemConfig(code_length=nc, pris_per_cpi=n_s, tx_count=n_tx,
+                            rx_count=n_rx, snr_db=snr_db, scr_db=scr_db,
+                            baseline_bins=baseline, pulses_per_pri=pulses,
+                            unambiguous_range_bins=None)
+    half_wl = 0.5 * b.SPEED_OF_LIGHT / system.carrier_frequency_hz
+
+    def line(m):
+        return b.ArrayGeometry((tuple(half_wl * np.arange(m)), (0.0,) * m, (0.0,) * m))
+
+    scenario = b.Scenario(system=system, tx_array=line(n_tx), rx_array=line(n_rx),
+                          targets=tuple(specs), rng_seed=rng_seed)
+    return scenario, dict(seed=seed, estimate_k=estimate_k, baseline_gate_music=gate_music)
+
+
+_FRACTION = st.floats(min_value=0.0, max_value=1.0)
+_ANGLE = st.floats(min_value=0.0, max_value=180.0)
+
+
+@st.composite
+def tiny_runs(draw):
+    targets = draw(st.lists(st.tuples(_FRACTION, st.floats(min_value=-1.0, max_value=1.0),
+                                      _ANGLE, _ANGLE, st.floats(min_value=-60.0,
+                                                                max_value=60.0)),
+                            max_size=2))
+    return _tiny_run(
+        nc=draw(st.sampled_from([3, 7])), pulses=draw(st.integers(2, 4)),
+        n_tx=draw(st.integers(1, 3)), n_rx=draw(st.integers(1, 3)),
+        n_s=draw(st.integers(2, 16)), snr_db=draw(st.sampled_from([0.0, 20.0, math.inf])),
+        scr_db=draw(st.sampled_from([-5.0, math.inf])), targets=targets,
+        rng_seed=draw(st.integers(0, 2**16)), estimate_k=draw(st.booleans()),
+        gate_music=draw(st.booleans()), seed=draw(st.integers(0, 2**16)))
+
+
+class TestRunScenarioFuzz:
+    """Tiny valid scenarios: run_scenario returns, finds too few stage-1
+    peaks, or rejects the code set exactly as the code generator does, and
+    a repeat gives the same entries."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(tiny_runs())
+    # an infeasible code set: two 3-chip m-sequence shifts of stride 3 coincide
+    @example(_tiny_run(3, 3, 2, 2, 4, 20.0, math.inf, [(0.5, 0.0, 90.0, 60.0, 10.0)], 0))
+    # no target and no noise: estimate_k on an all-zero cube
+    @example(_tiny_run(7, 2, 2, 2, 8, math.inf, math.inf, [], 0, estimate_k=True))
+    def test_returns_or_fails_within_contract(self, case):
+        scenario, options = case
+        system = scenario.system
+        try:
+            b.generate_pn_codes(system.tx_count, system.code_length, seed=0)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                b.run_scenario(scenario, method="both", **options)
+            assert str(raised.value) == str(exc)
+            return
+        outcomes = []
+        for _ in range(2):
+            try:
+                result = b.run_scenario(scenario, method="both", **options)
+            except estimation.PeakError as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append({m: r.entries for m, r in result.reports.items()})
+        assert outcomes[0] == outcomes[1]
 
 
 class TestAlignToTruth:
@@ -887,6 +972,38 @@ class TestCli:
             last = capsys.readouterr().err.splitlines()[-1]
             assert last.startswith(f"radar: error: argument --scenario: {message}")
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "mc", "grids"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(harness, "synthesize_cube", _no_synthesis)
+        scen = self._write_tiny(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--scenario", str(scen), "--out", str(tmp_path / "out"),
+                      "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be >= 0 (got -1)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "mc", "grids"])
+    @pytest.mark.parametrize("kind, message", [
+        ("mseq", "cannot derive 2 distinct cyclic shifts with stride 3 from a length-3"),
+        ("gold", "no second polynomial available for degree 2"),
+    ], ids=["mseq", "gold"])
+    def test_infeasible_code_set_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                  command, kind, message):
+        # two Tx elements, 3-chip codes: the code set does not exist
+        monkeypatch.setattr(harness, "synthesize_cube", _no_synthesis)
+        s = make_tiny_scenario()
+        s = replace(s, system=replace(s.system, code_length=3, pulses_per_pri=3))
+        scen = tmp_path / "short-codes.json"
+        b.save_scenario(s, scen)
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--scenario", str(scen), "--out", str(tmp_path / "out"),
+                      "--code-kind", kind])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"radar: error: argument --code-kind: {message}")
+        assert not (tmp_path / "out").exists()
 
     def test_default_scenario_is_bundled(self, tmp_path):
         # no --scenario: the bundled configuration loads (smoke, k=0 runs fast)

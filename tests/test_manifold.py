@@ -18,9 +18,11 @@ def _shifted(v, d):
 
 
 def _reference_signature(codes, d, f_hz, system):
-    """The composite code shifted by d bins, times the Doppler phase."""
-    return (_shifted(codes.composite.astype(complex), d)
-            * b.doppler_phase_vector(f_hz, system))
+    """The composite code zero-padded to the PRI, shifted by d bins, times
+    the Doppler phase."""
+    padded = np.zeros(system.fast_time_bins, dtype=complex)
+    padded[:codes.code_length] = codes.composite
+    return _shifted(padded, d) * b.doppler_phase_vector(f_hz, system)
 
 
 def _reference_transformation(codes, d, f_hz, system):
@@ -177,7 +179,9 @@ class TestTemporalSignature:
     def test_zero_delay_zero_doppler(self, paper_scenario):
         codes, _ = build_waveform(paper_scenario)
         sig = b.temporal_signature(codes, 0, 0.0, paper_scenario.system)
-        assert sig == pytest.approx(codes.composite.astype(complex))
+        nc = codes.code_length
+        assert sig[:nc] == pytest.approx(codes.composite.astype(complex))
+        assert np.all(sig[nc:] == 0.0)
 
     def test_support_rows(self, paper_scenario):
         codes, _ = build_waveform(paper_scenario)

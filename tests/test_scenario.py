@@ -268,6 +268,8 @@ _BAD_FIELDS = [
     (("system", "tx_count"), 5.0, "tx_count"),
     (("system", "code_length"), True, "code_length"),
     (("system", "code_length"), 1, "code_length"),
+    # beyond float range: the degree rule must not take a float log
+    (("system", "code_length"), 2**70, "code_length"),
     (("system", "chip_period_s"), math.inf, "chip_period_s"),
     (("system", "tx_power_w"), math.inf, "tx_power_w"),
     (("system", "baseline_bins"), "95", "baseline_bins"),
@@ -312,6 +314,33 @@ class TestMalformedDocument:
         assert scenario_from_dict(doc).system.chip_period_s == 1
         system = b.SystemConfig(pris_per_cpi=np.int64(16), baseline_bins=np.float64(95.0))
         assert system.pris_per_cpi == 16
+
+
+class TestArrayGeometry:
+    """The coordinate rule holds for Python construction, not only for a
+    scenario file."""
+
+    @pytest.mark.parametrize("coordinates", [
+        ((0.0, 1.0), (0.0,), (0.0, 0.0)),
+        ((0.0, "1.0"), (0.0, 0.0), (0.0, 0.0)),
+        ((0.0, "x"), (0.0, 0.0), (0.0, 0.0)),
+        ((0.0, True), (0.0, 0.0), (0.0, 0.0)),
+        ((0.0, math.nan), (0.0, 0.0), (0.0, 0.0)),
+        ((0.0, 10**400), (0.0, 0.0), (0.0, 0.0)),
+        ((0.0,), (0.0,)),
+        (0.0, 0.0, 0.0),
+        None,
+    ], ids=["ragged", "numeric-string", "string", "bool", "nan", "huge-int", "two-rows",
+            "flat", "none"])
+    def test_bad_coordinates_are_named(self, coordinates):
+        with pytest.raises(ScenarioError,
+                           match=r"^coordinates: must be 3 rows of M finite numbers each$"):
+            b.ArrayGeometry(coordinates)
+
+    def test_stored_as_float_tuples(self):
+        geom = b.ArrayGeometry([[0, 1], [0, np.int64(2)], [0.5, np.float64(0.25)]])
+        assert geom.coordinates == ((0.0, 1.0), (0.0, 2.0), (0.5, 0.25))
+        assert all(type(v) is float for row in geom.coordinates for v in row)
 
 
 def _entry_paths(node, prefix=()):
