@@ -8,8 +8,8 @@ exp(j*2*pi*F*(n-1)*PRI).  The slow-time phase keeps the echo coherent
 across the CPI, which is what makes sub-bin Doppler estimation possible.
 
 Noise is referenced to the strongest target's per-element echo power over
-its occupied bins; clutter uses the same reference.  Both accept +inf as a
-"disabled" level.
+its occupied bins, clutter to the CPI's echo energy per sample.  Both
+accept +inf as a "disabled" level.
 """
 
 from __future__ import annotations
@@ -199,29 +199,12 @@ def synthesize_targets(
     )
 
 
-def _clutter_variance(cube: DataCube, scr_db: float) -> float | None:
-    """Clutter variance for scr_db, or None when clutter is disabled.
-
-    The clutter is white: total echo energy over total clutter energy in
-    the CPI equals scr_db.
-    """
-    if math.isinf(scr_db) and scr_db > 0:
+def _variance(reference: float, level_db: float) -> float | None:
+    """Interference variance at level_db below reference, or None when
+    the level is +inf (the channel disabled)."""
+    if level_db == math.inf:
         return None
-    if cube.echo_energy_per_sample <= 0:
-        raise ValueError("clutter level needs a target echo power reference")
-    return cube.echo_energy_per_sample / 10.0 ** (scr_db / 10.0)
-
-
-def _noise_variance(cube: DataCube, snr_db: float) -> float | None:
-    """Noise variance for snr_db, or None when noise is disabled.
-
-    With no targets present the reference power is 1, so the variance is
-    10**(-snr_db/10).
-    """
-    if math.isinf(snr_db) and snr_db > 0:
-        return None
-    reference = cube.echo_power if cube.echo_power > 0 else 1.0
-    return reference / 10.0 ** (snr_db / 10.0)
+    return reference / 10.0 ** (level_db / 10.0)
 
 
 def _add_gaussian(
@@ -252,16 +235,22 @@ def synthesize_cube(
     scenario's configured levels.
 
     Clutter models the return after a whitening transform: zero-mean
-    complex Gaussian, isotropic and in every range bin.  The echo cube is
-    a fresh array, so clutter (only when targets are present) and then
+    complex Gaussian, isotropic and in every range bin, with the CPI's
+    echo energy over its clutter energy equal to scr_db.  Noise sits
+    snr_db below echo_power (1 without targets).  Each level is +inf
+    (disabled) or within [-1000, 1000] dB, as SystemConfig requires, which
+    keeps every variance and draw inside the float range.  The echo cube
+    is a fresh array, so clutter (only when targets are present) and then
     receiver noise are added into it in place; all four real draws share
     one float buffer.  This is the only place interference enters a cube.
     """
     states = draw_target_states(scenario, rng)
     cube = synthesize_targets(scenario, codes, symbols, states)
-    clutter = _clutter_variance(cube, scenario.system.scr_db) if scenario.targets else None
+    clutter = (_variance(cube.echo_energy_per_sample, scenario.system.scr_db)
+               if scenario.targets else None)
+    noise = _variance(cube.echo_power if cube.echo_power > 0 else 1.0, scenario.system.snr_db)
     buf = np.empty(cube.samples.shape)
-    for var in (clutter, _noise_variance(cube, scenario.system.snr_db)):
+    for var in (clutter, noise):
         if var is not None:
             _add_gaussian(cube.samples, var, rng, buf)
     return cube

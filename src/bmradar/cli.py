@@ -5,11 +5,14 @@ Subcommands:
   mc     Monte Carlo RMSE over an SNR sweep, write rmse.csv (+ failures.csv)
   grids  one CPI, write the stage-1 and stage-2 cost surfaces as CSV
 
-A scenario file that cannot be loaded is a usage error of --scenario,
-and a code family that cannot give the scenario's Tx elements distinct
-codes of its code length one of --code-kind (exit status 2).  A stage-1
-search that finds fewer peaks than the target count ends run and grids
-with one error line and exit status 1, before any output.
+The library owns every input rule (load_scenario the scenario file,
+GridSpec the grid steps, run_scenario the seed, target count and code
+family, monte_carlo_rmse the sweep) and raises a ValueError led by the
+field before any synthesis.  radar maps the field to its flag: usage
+error "argument <flag>: <field>: <rule>", exit status 2, nothing
+written.  A stage-1 search that finds fewer peaks than the target count
+ends run and grids with one error line and exit status 1, before any
+output.
 
 The bundled default scenario is used when --scenario is omitted.
 """
@@ -25,40 +28,26 @@ import numpy as np
 from .estimation import GridSpec, PeakError
 from .harness import emit_outputs, monte_carlo_rmse, run_scenario
 from .scenario import ScenarioError, default_scenario_path, load_scenario
-from .waveform import generate_pn_codes
 
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1 (got {value})")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0 (got {value})")
-    return value
+# the library field a ValueError message starts with -> the flag that sets it
+_FLAGS = {"angle_step_deg": "--angle-step", "angle_refine_step_deg": "--angle-refine-step",
+          "doppler_hz": "--doppler-step", "k": "--known-k", "code_kind": "--code-kind",
+          "seed": "--seed", "trials": "--trials", "jobs": "--jobs", "snr_db": "--snr",
+          "targets": "--scenario"}
 
 
 def _snr_list(text: str) -> list[float]:
     try:
-        values = [float(s) for s in text.split(",") if s.strip()]
+        return [float(s) for s in text.split(",") if s.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"not a comma-separated list of numbers: {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("needs at least one SNR point")
-    if any(math.isnan(v) or v == -math.inf for v in values):
-        raise argparse.ArgumentTypeError("SNR points must not be nan or -inf (inf disables noise)")
-    return values
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", default=None,
                    help="scenario JSON (default: bundled paper.json)")
-    p.add_argument("--seed", type=_nonnegative_int, default=0,
+    p.add_argument("--seed", type=int, default=0,
                    help="master seed (>= 0)")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--code-kind", choices=("mseq", "gold"), default="mseq",
@@ -90,7 +79,7 @@ def _add_target_count(p: argparse.ArgumentParser) -> None:
 
 def _grid_from_args(args, scenario) -> GridSpec:
     doppler = None
-    if args.doppler_step is not None:
+    if args.doppler_step is not None:  # GridSpec sees the axis, not the step
         prf, step = scenario.system.prf_hz, args.doppler_step
         # prf + step == prf: too fine to advance the axis in floating point
         if not (math.isfinite(step) and step > 0 and prf + step > prf):
@@ -127,8 +116,8 @@ def main(argv: list[str] | None = None) -> int:
     _add_methods(p_mc)
     p_mc.add_argument("--snr", type=_snr_list, default="0,5,10,15,20",
                       help="comma-separated SNR points in dB")
-    p_mc.add_argument("--trials", type=_positive_int, default=100)
-    p_mc.add_argument("--jobs", type=_positive_int, default=1,
+    p_mc.add_argument("--trials", type=int, default=100)
+    p_mc.add_argument("--jobs", type=int, default=1,
                       help="parallel workers (at most one per trial and usable core)")
     p_mc.add_argument("--drop-failures", action="store_true",
                       help="exclude failed detections from the RMSE mean")
@@ -144,49 +133,40 @@ def main(argv: list[str] | None = None) -> int:
         scenario = _load(args)
     except ScenarioError as exc:
         parser.error(f"argument --scenario: {exc}")
-    system = scenario.system
-    try:  # the code set's feasibility does not depend on the seed
-        generate_pn_codes(system.tx_count, system.code_length, args.code_kind, seed=0)
-    except ValueError as exc:
-        parser.error(f"argument --code-kind: {exc}")
-    L = system.fast_time_bins
-    if args.command != "mc" and args.known_k is not None and not 0 < args.known_k < L:
-        # a basis of all of C^L leaves no noise subspace
-        parser.error(f"argument --known-k: must be in (0, {L}) for this scenario "
-                     f"(got {args.known_k})")
     try:
         grid = _grid_from_args(args, scenario)
-    except ValueError as exc:  # a GridSpec message starts with the field name
-        flag = {"angle_step_deg": "--angle-step", "angle_refine_step_deg": "--angle-refine-step",
-                "doppler_hz": "--doppler-step"}.get(str(exc).partition(":")[0])
+        if args.command == "mc":
+            report = monte_carlo_rmse(
+                scenario, args.snr, args.trials, method=args.method,
+                seed=args.seed, jobs=args.jobs, grid=grid,
+                code_kind=args.code_kind, drop_failures=args.drop_failures,
+                clutter_mode="scenario" if args.keep_clutter else "off",
+                baseline_gate_music=args.gate_music,
+            )
+        else:
+            if args.command == "run":
+                options = dict(method=args.method, refine_doppler=not args.no_refine_doppler,
+                               dump_cube_path=args.dump_cube,
+                               baseline_gate_music=args.gate_music)
+            else:  # grids
+                options = dict(method="vst", store_surfaces=True)
+            result = run_scenario(scenario, seed=args.seed, grid=grid,
+                                  code_kind=args.code_kind, k=args.known_k,
+                                  estimate_k=args.estimate_k, **options)
+    except PeakError as exc:  # stage 1 found fewer peaks than the target count
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:  # a library input rule, named by its field
+        flag = _FLAGS.get(str(exc).partition(":")[0])
         if flag is None:
             raise
         parser.error(f"argument {flag}: {exc}")
 
     if args.command == "mc":
-        report = monte_carlo_rmse(
-            scenario, args.snr, args.trials, method=args.method,
-            seed=args.seed, jobs=args.jobs, grid=grid,
-            code_kind=args.code_kind, drop_failures=args.drop_failures,
-            clutter_mode="scenario" if args.keep_clutter else "off",
-            baseline_gate_music=args.gate_music,
-        )
         written = emit_outputs(args.out, rmse=report, extra_config={
             "snr_db": args.snr, "trials": args.trials, "jobs": args.jobs,
         })
     else:
-        if args.command == "run":
-            options = dict(method=args.method, refine_doppler=not args.no_refine_doppler,
-                           dump_cube_path=args.dump_cube, baseline_gate_music=args.gate_music)
-        else:  # grids
-            options = dict(method="vst", store_surfaces=True)
-        try:
-            result = run_scenario(scenario, seed=args.seed, grid=grid,
-                                  code_kind=args.code_kind, k=args.known_k,
-                                  estimate_k=args.estimate_k, **options)
-        except PeakError as exc:  # stage 1 found fewer peaks than the target count
-            print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-            return 1
         written = emit_outputs(args.out, run=result)
 
     for path in written:

@@ -25,6 +25,7 @@ from . import baseline as baseline_mod
 from .channel import TargetTruth, dump_cube, synthesize_cube
 from .estimation import (
     GridSpec,
+    PeakError,
     SubspaceBasis,
     default_grid,
     despread_gate,
@@ -121,16 +122,20 @@ def run_scenario(
 
     k defaults to the scenario's target count; estimate_k=True instead
     takes the largest ratio gap of the fast-time covariance spectrum, and
-    excludes k.  Both checks on k run before synthesis.  With no target,
-    and either no order asked for or no noise (an all-zero cube), every
+    excludes k.  Before synthesis, each input rule raises a ValueError
+    led by its field: seed >= 0, k in (0, L), and a code_kind that gives
+    the scenario's Tx elements distinct codes.  With no target, and
+    either no order asked for or no noise (an all-zero cube), every
     report is empty.  Stage 1 is shared and hands on its delays alone;
     each delay's gate is despread once for the Doppler refine and the
-    baseline.  A ValueError past stage 1 fails only the method that
-    raised it, whose report then carries the message.
+    baseline.  Too few stage-1 peaks raise PeakError; a ValueError past
+    stage 1 fails only the method that raised it, whose report then
+    carries the message.
     """
     methods = _resolve_methods(method)
     grid = default_grid(scenario, grid)
     system = scenario.system
+    _require_seed(seed)
     if estimate_k and k is not None:
         raise ValueError(f"k={k} and estimate_k exclude each other: give at most one")
     k_eff = scenario.target_count if k is None else k
@@ -140,14 +145,16 @@ def run_scenario(
     L = system.fast_time_bins
     if not (estimate_k or idle or 0 < k_eff < L):
         # a basis of all of C^L leaves no noise subspace
-        raise ValueError(f"signal_dim must be in (0, {L})")
+        raise ValueError(f"k: must be in (0, {L}) for this scenario (got {k_eff})")
 
     root = np.random.SeedSequence([_RUN_DOMAIN, scenario.rng_seed & 0xFFFFFFFF, int(seed)])
     code_seq, symbol_seq, synth_seq = root.spawn(3)
-    codes = extend_codes(
-        generate_pn_codes(system.tx_count, system.code_length, code_kind, seed=code_seq),
-        system.fast_time_bins,
-    )
+    try:  # whether the code set exists does not depend on the seed
+        codes = generate_pn_codes(system.tx_count, system.code_length, code_kind,
+                                  seed=code_seq)
+    except ValueError as exc:
+        raise ValueError(f"code_kind: {exc}") from None
+    codes = extend_codes(codes, system.fast_time_bins)
     symbols = generate_symbols(system.pris_per_cpi, seed=symbol_seq)
     cube = synthesize_cube(scenario, codes, symbols, np.random.default_rng(synth_seq))
     if dump_cube_path is not None:
@@ -236,6 +243,11 @@ def run_scenario(
                      xi1_grid, xi2_grid)
 
 
+def _require_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed: must be >= 0 (got {seed})")
+
+
 def _subspace_diagnostics(basis: SubspaceBasis) -> dict:
     """A subspace solve (stage 1's fast-time covariance, stage 2's PRI
     gram) as plain JSON values: the Ritz spectrum head, its lambda_P /
@@ -322,14 +334,15 @@ def _mc_trial(args) -> TrialRecord:
         result = run_scenario(scenario, method=method, seed=seed, grid=grid,
                               code_kind=code_kind,
                               baseline_gate_music=gate_music)
+    except PeakError as exc:  # a stage-1 miss is data; anything else raises
+        for m in _resolve_methods(method):
+            aligned[m] = tuple([None] * scenario.target_count)
+            failed[m] = f"{type(exc).__name__}: {exc}"
+    else:
         for m, report in result.reports.items():
             aligned[m] = tuple(align_to_truth(result.truth, report.entries))
             if "error" in report.metadata:
                 failed[m] = report.metadata["error"]
-    except Exception as exc:  # noqa: BLE001 - failures are data here
-        for m in _resolve_methods(method):
-            aligned[m] = tuple([None] * scenario.target_count)
-            failed[m] = f"{type(exc).__name__}: {exc}"
     return TrialRecord(
         snr_db=snr_db, snr_idx=snr_idx, trial_idx=trial_idx, seed=seed,
         aligned=aligned, failed=failed,
@@ -379,17 +392,24 @@ def monte_carlo_rmse(
     jobs >= 1 caps the worker processes: at most min(jobs, total trials,
     usable cores) are started, and the sweep runs in this process when
     that is 1.
+
+    Before any trial, each input rule raises a ValueError led by its
+    field: seed >= 0, trials >= 1, jobs >= 1, at least one snr_db point
+    (each within SystemConfig's level rule) and one target.  Only a
+    stage-1 PeakError fails a trial as a whole; any other exception,
+    such as an infeasible code_kind, raises here.
     """
+    _require_seed(seed)
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ValueError(f"trials: must be >= 1 (got {trials})")
     if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+        raise ValueError(f"jobs: must be >= 1 (got {jobs})")
     if len(snr_db_list) == 0:
-        raise ValueError("snr_db_list is empty: a sweep needs at least one SNR point")
+        raise ValueError("snr_db: needs at least one SNR point")
     if clutter_mode not in ("off", "scenario"):
-        raise ValueError("clutter_mode must be 'off' or 'scenario'")
+        raise ValueError("clutter_mode: must be 'off' or 'scenario'")
     if not scenario.targets:
-        raise ValueError("targets is empty: angle RMSE needs at least one target")
+        raise ValueError("targets: angle RMSE needs at least one target")
     methods = _resolve_methods(method)
     grid = default_grid(scenario, grid)
 

@@ -89,7 +89,9 @@ class SystemConfig:
     (PRI = pulses_per_pri * code_length chips) or as
     ``unambiguous_range_bins`` (PRI = 2 * unambiguous_range_bins chips).
     Exactly one of the two must be set.  The code length must be
-    2**r - 1 for a register degree the code generator supports.
+    2**r - 1 for a register degree the code generator supports.  Each of
+    snr_db and scr_db is +inf, which disables that channel, or lies
+    within [-1000, 1000] dB; anything else is a ScenarioError naming it.
     """
 
     carrier_frequency_hz: float = 1.3e9
@@ -120,11 +122,12 @@ class SystemConfig:
         _require(self.tx_count >= 1, "tx_count", "must be >= 1")
         _require(self.rx_count >= 1, "rx_count", "must be >= 1")
         _require(self.tx_power_w > 0, "tx_power_w", "must be > 0")
-        # +inf is the documented "disabled" flag for noise/clutter
+        # +inf is the documented "disabled" flag for noise/clutter; the bound
+        # keeps 10**(level/10) and the covariances of the draws it scales finite
         for name in ("snr_db", "scr_db"):
             level = getattr(self, name)
-            _require(not math.isnan(level), name, "must not be NaN")
-            _require(level != -math.inf, name, "must not be -inf (+inf disables it)")
+            _require(level == math.inf or -1000.0 <= level <= 1000.0, name,
+                     f"must be within [-1000, 1000] dB or +inf (got {level!r})")
         _require(self.baseline_bins > 0, "baseline_bins", "must be > 0")
         if (self.pulses_per_pri is None) == (self.unambiguous_range_bins is None):
             raise ScenarioError(

@@ -250,16 +250,6 @@ class TestNoiseAndClutter:
         corr = np.corrcoef(flat.real, flat.imag)[0, 1]
         assert abs(corr) < 0.01
 
-    def test_clutter_without_targets_rejected(self, paper_scenario):
-        # the level is relative to the echo energy; synthesize_cube skips
-        # clutter without targets and so never asks
-        s = replace(paper_scenario, targets=())
-        codes, symbols = build_waveform(s)
-        states = channel.draw_target_states(s, np.random.default_rng(0))
-        cube = channel.synthesize_targets(s, codes, symbols, states)
-        with pytest.raises(ValueError, match="reference"):
-            channel._clutter_variance(cube, -5.0)
-
 
 def _whole_cube_reference(scenario, codes, symbols, states, rng):
     """The synthesis formula over the whole cube, with complex temporaries:
@@ -329,6 +319,7 @@ class TestSynthesisMatchesWholeCubeFormula:
             "paper-no-clutter": (paper_scenario.with_system(scr_db=float("inf")), ()),
             "tiny": (make_tiny_scenario(snr_db=10.0, scr_db=0.0), ()),
             "tiny-swerling2": (tiny_two, ()),
+            # SCR -5 dB but no echo to reference: no clutter is drawn
             "no-targets": (replace(paper_scenario, targets=()), ()),
             # delay 0 and the last unambiguous delay L - nc
             "paper-edge-delays": (paper_scenario, (0, 524 - 15)),

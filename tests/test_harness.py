@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -156,7 +157,8 @@ class TestRunScenario:
         L = tiny_noisy.system.fast_time_bins
         for scenario, k in [(tiny_noisy, k) for k in (0, -1, L, L + 1)] + [
                 (replace(tiny_noisy, targets=()), 0)]:
-            with pytest.raises(ValueError, match=rf"^signal_dim must be in \(0, {L}\)$"):
+            with pytest.raises(ValueError,
+                               match=rf"^k: must be in \(0, {L}\) for this scenario \(got {k}\)$"):
                 b.run_scenario(scenario, method="both", seed=1, k=k)
         assert calls == []
 
@@ -165,6 +167,21 @@ class TestRunScenario:
         monkeypatch.setattr(harness, "synthesize_cube", _no_synthesis)
         with pytest.raises(ValueError, match="k=2 and estimate_k exclude each other"):
             b.run_scenario(paper_scenario, method="both", seed=1, k=2, estimate_k=True)
+
+    def test_negative_seed_is_rejected_before_synthesis(self, tiny_noisy, monkeypatch):
+        monkeypatch.setattr(harness, "synthesize_cube", _no_synthesis)
+        with pytest.raises(ValueError, match=r"^seed: must be >= 0 \(got -1\)$"):
+            b.run_scenario(tiny_noisy, method="both", seed=-1)
+        with pytest.raises(ValueError, match=r"^seed: must be >= 0 \(got -1\)$"):
+            b.monte_carlo_rmse(tiny_noisy, [20.0], 2, seed=-1)
+
+    @pytest.mark.parametrize("level", ["snr_db", "scr_db"])
+    @pytest.mark.parametrize("value", [-1000.0, 1000.0])
+    def test_levels_at_the_bound_stay_in_float_range(self, tiny_noisy, level, value):
+        # the suite turns a RuntimeWarning (overflow, invalid value) into an error
+        result = b.run_scenario(tiny_noisy.with_system(**{level: value}), method="both",
+                                seed=1)
+        assert sorted(result.reports) == ["baseline", "vst"]
 
     @pytest.mark.parametrize("side, kept, missing", [("rx", "dod_deg", "doa_deg"),
                                                      ("tx", "doa_deg", "dod_deg")])
@@ -219,11 +236,11 @@ _ANGLE = st.floats(min_value=0.0, max_value=180.0)
 
 
 @st.composite
-def tiny_runs(draw):
+def tiny_runs(draw, min_targets=0):
     targets = draw(st.lists(st.tuples(_FRACTION, st.floats(min_value=-1.0, max_value=1.0),
                                       _ANGLE, _ANGLE, st.floats(min_value=-60.0,
                                                                 max_value=60.0)),
-                            max_size=2))
+                            min_size=min_targets, max_size=2))
     return _tiny_run(
         nc=draw(st.sampled_from([3, 7])), pulses=draw(st.integers(2, 4)),
         n_tx=draw(st.integers(1, 3)), n_rx=draw(st.integers(1, 3)),
@@ -235,8 +252,8 @@ def tiny_runs(draw):
 
 class TestRunScenarioFuzz:
     """Tiny valid scenarios: run_scenario returns, finds too few stage-1
-    peaks, or rejects the code set exactly as the code generator does, and
-    a repeat gives the same entries."""
+    peaks, or rejects the code set as a code_kind error with the code
+    generator's reason, and a repeat gives the same entries."""
 
     @settings(max_examples=50, deadline=None)
     @given(tiny_runs())
@@ -252,7 +269,7 @@ class TestRunScenarioFuzz:
         except ValueError as exc:
             with pytest.raises(ValueError) as raised:
                 b.run_scenario(scenario, method="both", **options)
-            assert str(raised.value) == str(exc)
+            assert str(raised.value) == f"code_kind: {exc}"
             return
         outcomes = []
         for _ in range(2):
@@ -262,6 +279,30 @@ class TestRunScenarioFuzz:
                 outcomes.append(str(exc))
             else:
                 outcomes.append({m: r.entries for m, r in result.reports.items()})
+        assert outcomes[0] == outcomes[1]
+
+
+class TestMonteCarloFuzz:
+    """Tiny valid scenarios with a target: a sweep gives the same records
+    and rmse.csv at jobs 1 and 2, or both raise the same error."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(tiny_runs(min_targets=1))
+    def test_jobs_do_not_change_the_sweep(self, case):
+        scenario, options = case
+        outcomes = []
+        for jobs in (1, 2):
+            try:
+                report = b.monte_carlo_rmse(
+                    scenario, [scenario.system.snr_db, 10.0], 2, seed=options["seed"],
+                    jobs=jobs, clutter_mode="scenario",
+                    baseline_gate_music=options["baseline_gate_music"])
+            except ValueError as exc:
+                outcomes.append(f"{type(exc).__name__}: {exc}")
+                continue
+            with tempfile.TemporaryDirectory() as out:
+                b.emit_outputs(out, rmse=report)
+                outcomes.append((repr(report.records), (Path(out) / "rmse.csv").read_bytes()))
         assert outcomes[0] == outcomes[1]
 
 
@@ -373,9 +414,26 @@ class TestMonteCarlo:
                                                           jobs):
         calls = []
         monkeypatch.setattr(harness, "run_scenario", lambda *a, **k: calls.append(a))
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
+        with pytest.raises(ValueError, match="^jobs: must be >= 1"):
             b.monte_carlo_rmse(tiny_noisy, [20.0], 2, jobs=jobs)
         assert calls == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_infeasible_code_set_raises_once(self, jobs):
+        # two Tx elements, 3-chip codes: no trial can run, so none is charged
+        s = make_tiny_scenario(snr_db=20.0)
+        s = replace(s, system=replace(s.system, code_length=3, pulses_per_pri=3))
+        with pytest.raises(ValueError, match="^code_kind: cannot derive 2 distinct cyclic"):
+            b.monte_carlo_rmse(s, [10.0, 20.0], 3, method="both", jobs=jobs)
+
+    def test_error_other_than_a_stage_1_miss_is_raised(self, tiny_noisy, monkeypatch):
+        # a bug in a stage is not a missed target
+        def broken(*args, **kwargs):
+            raise TypeError("broken stage")
+
+        monkeypatch.setattr(harness, "range_doppler_search", broken)
+        with pytest.raises(TypeError, match="broken stage"):
+            b.monte_carlo_rmse(tiny_noisy, [20.0], 2, method="both")
 
     def test_trial_seeds_unique_and_deterministic(self, tiny_noisy):
         r = b.monte_carlo_rmse(tiny_noisy, [10.0, 20.0], trials=3, method="vst",
@@ -398,7 +456,7 @@ class TestMonteCarlo:
             self, paper_scenario, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "run_scenario", lambda *a, **k: calls.append(a))
-        with pytest.raises(ValueError, match="snr_db_list is empty"):
+        with pytest.raises(ValueError, match="^snr_db: needs at least one SNR point"):
             b.monte_carlo_rmse(paper_scenario, [], 2)
         assert calls == []
 
@@ -909,7 +967,7 @@ class TestCli:
             cli_main([command, "--scenario", str(scen), "--out", str(tmp_path / "out"),
                       "--known-k", value])
         assert exc.value.code == 2
-        assert "argument --known-k: must be in (0, 14)" in capsys.readouterr().err
+        assert "argument --known-k: k: must be in (0, 14)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("args, message", [
@@ -919,10 +977,13 @@ class TestCli:
         (["--snr", "10,x"], "argument --snr: not a comma-separated list of numbers"),
         (["--snr", ","], "argument --snr: needs at least one SNR point"),
         (["--snr", ""], "argument --snr: needs at least one SNR point"),
-        (["--snr", "10,nan"], "argument --snr: SNR points must not be nan or -inf"),
-        (["--snr=-inf"], "argument --snr: SNR points must not be nan or -inf"),
+        (["--snr", "10,nan"], "argument --snr: must be within [-1000, 1000] dB or +inf"),
+        (["--snr=-inf"], "argument --snr: must be within [-1000, 1000] dB or +inf"),
         (["--jobs", "0"], "argument --jobs: must be >= 1"),
         (["--jobs", "-1"], "argument --jobs: must be >= 1"),
+        # past the level bound, synthesis would overflow
+        (["--snr", "10,4000"], "argument --snr: must be within [-1000, 1000] dB or +inf"),
+        (["--snr", "1e308"], "argument --snr: must be within [-1000, 1000] dB or +inf"),
     ])
     def test_bad_sweep_flag_is_a_usage_error(self, tmp_path, capsys, monkeypatch, args,
                                              message):
@@ -931,7 +992,13 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["mc", "--scenario", str(scen), "--out", str(tmp_path / "out"), *args])
         assert exc.value.code == 2
-        assert message in capsys.readouterr().err
+        # a library rule's message, led by its field, follows the flag;
+        # the list parse is radar's own and names no field
+        flag, rule = message.split(": ", 1)
+        if not rule.startswith("not a comma-separated"):
+            field = {"--trials": "trials", "--jobs": "jobs", "--snr": "snr_db"}[flag.split()[1]]
+            rule = f"{field}: {rule}"
+        assert f"{flag}: {rule}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_grids_subcommand(self, tmp_path, monkeypatch):
@@ -973,6 +1040,18 @@ class TestCli:
             assert last.startswith(f"radar: error: argument --scenario: {message}")
             assert not (tmp_path / "out").exists()
 
+    def test_mc_without_targets_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "synthesize_cube", _no_synthesis)
+        scen = tmp_path / "no-targets.json"
+        b.save_scenario(make_tiny_scenario(targets=()), scen)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["mc", "--scenario", str(scen), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "radar: error: argument --scenario: targets: angle RMSE needs at least "
+            "one target")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["run", "mc", "grids"])
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, monkeypatch, command):
         monkeypatch.setattr(harness, "synthesize_cube", _no_synthesis)
@@ -981,7 +1060,7 @@ class TestCli:
             cli_main([command, "--scenario", str(scen), "--out", str(tmp_path / "out"),
                       "--seed", "-1"])
         assert exc.value.code == 2
-        assert "argument --seed: must be >= 0 (got -1)" in capsys.readouterr().err
+        assert "argument --seed: seed: must be >= 0 (got -1)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "mc", "grids"])
@@ -1002,7 +1081,7 @@ class TestCli:
                       "--code-kind", kind])
         assert exc.value.code == 2
         last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith(f"radar: error: argument --code-kind: {message}")
+        assert last.startswith(f"radar: error: argument --code-kind: code_kind: {message}")
         assert not (tmp_path / "out").exists()
 
     def test_default_scenario_is_bundled(self, tmp_path):

@@ -122,6 +122,16 @@ class TestLoadTimeValidation:
         s = b.SystemConfig(snr_db=math.inf, scr_db=math.inf)
         assert s.snr_db == s.scr_db == math.inf
 
+    @pytest.mark.parametrize("name", ["snr_db", "scr_db"])
+    @pytest.mark.parametrize("value", [4000.0, -4000.0, 1e308])
+    def test_level_beyond_1000_db_rejected(self, name, value):
+        # synthesis would take 10**(level/10) out of the float range
+        match = rf"^{name}: must be within \[-1000, 1000\] dB or \+inf \(got "
+        with pytest.raises(ScenarioError, match=match):
+            b.SystemConfig(**{name: value})
+        with pytest.raises(ScenarioError, match=match):
+            scenario_from_dict(_set(_paper_doc(), ("system", name), value))
+
     def test_bad_angle_named_at_load(self, tmp_path):
         doc = scenario_to_dict(b.default_scenario())
         doc["targets"][2]["doa_deg"] = 200.0
