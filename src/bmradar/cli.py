@@ -163,9 +163,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"argument {flag}: {exc}")
 
     if args.command == "mc":
-        written = emit_outputs(args.out, rmse=report, extra_config={
-            "snr_db": args.snr, "trials": args.trials, "jobs": args.jobs,
-        })
+        # monte_carlo in run.json records the SNR points and trials
+        written = emit_outputs(args.out, rmse=report, extra_config={"jobs": args.jobs})
     else:
         written = emit_outputs(args.out, run=result)
 

@@ -41,13 +41,18 @@ demodulate the known symbols, take a zero-padded periodogram across PRIs,
 and interpolate the peak.
 
 Stage 2 scans (DOA, DOD) with a MUSIC-style ratio over the virtual
-spatiotemporal snapshots X.  Their signal basis comes from the PRI x PRI
-gram X^H X, which the matrix-free VirtualSnapshots view builds from the
-cube (see the extender module): subspace_split takes its top signal_dim
-Ritz vectors V, and the basis is the QR factor of X V, so only signal_dim
-snapshot combinations are ever formed.  (X V / sqrt(theta) would be
-orthonormal only for exact eigenvectors; the QR makes it so at rounding
-level.)  Because every
+spatiotemporal snapshots X.  subspace_split takes the top signal_dim
+Ritz pairs (V, theta) of the PRI x PRI gram G = X^H X, which the
+matrix-free VirtualSnapshots view builds from the cube (see the extender
+module).  Rayleigh-Ritz vectors satisfy V^H G V = diag(theta) to
+rounding whether or not the solve converged, so the signal basis
+U = X V theta^-1/2 is orthonormal without a QR; it is never formed.  The
+cost reads U only through its contractions with the projected temporal
+signatures phi_km = P_m c_k of each target k and Tx antenna m: U's block
+(m, i) against phi_km is theta^-1/2 V^H Y_i^H phi_km, Y_i the
+fast-time x PRI samples of Rx antenna i, because P_m phi_km = phi_km.
+Every phi_km is zero off the estimates' code windows, so only those
+fast-time rows of the cube are read.  Because every
 entry of a steering vector has unit modulus, the numerator is
 angle-independent and the denominator is the numerator minus the signal
 power sum_p |sum_m half[p, m, a] conj(s_tx[m, b])|^2, where half holds
@@ -134,9 +139,9 @@ class SubspaceBasis:
     three fields describe the solver's run: restarts taken, the largest
     top-signal_dim residual ||C v - theta v|| relative to theta_1, and
     whether that residual met the tolerance.  The stage-2 basis of
-    prepare_xi2_context carries the solve on the PRI gram, its Ritz
-    values divided by the PRI count: the head of the spectrum of
-    (1/count) X X^H.
+    prepare_xi2_context is the solve on the PRI gram X^H X itself: basis
+    holds its PRI-space Ritz vectors V, and its Ritz values are divided
+    by the PRI count, the head of the spectrum of (1/count) X X^H.
     """
 
     basis: np.ndarray        # ambient x signal_dim, orthonormal columns
@@ -557,10 +562,11 @@ def doppler_refine(
 class Xi2Context:
     """Precomputed quantities for the DOA/DOD cost.
 
-    For each stage-1 target context the projected temporal signature per Tx
-    antenna and its contraction against the virtual signal basis are cached;
-    evaluating a candidate direction pair then costs O(rx * tx * signal_dim)
-    per context.
+    basis is the PRI-gram solve.  Per stage-1 target context, numerators
+    holds ||P h||^2 and basis_phi the contractions of the never-formed
+    signal basis U with its projected temporal signatures (module
+    docstring), so a candidate direction pair costs
+    O(rx * tx * signal_dim) per context.
     """
 
     scenario: Scenario
@@ -580,34 +586,37 @@ def prepare_xi2_context(
 ) -> Xi2Context:
     """Signal basis of the virtual snapshots plus per-context caches.
 
-    The basis is the QR factor of X V, V the top signal_dim Ritz vectors
-    of the PRI gram X^H X from subspace_split (module docstring).
+    The basis is the top signal_dim Ritz pairs (V, theta) of the PRI gram
+    X^H X from subspace_split, and basis_phi holds the contractions
+    theta^-1/2 V^H Y_i^H phi_km of U = X V theta^-1/2 (module docstring).
     """
-    system = scenario.system
-    k = len(estimates)
-    dim = signal_dim or k
+    dim = len(estimates) if signal_dim is None else signal_dim
     ambient, count = virtual.shape
     if not 0 < dim < ambient:
         raise ValueError(f"signal_dim must be in (0, {ambient})")
     if dim > count:
         raise ValueError("signal_dim exceeds the number of snapshots")
     head = subspace_split(virtual.gram(), dim)
-    if head.eigenvalues[dim - 1] <= 0:
+    theta = head.eigenvalues[:dim]
+    if theta[-1] <= 0:
         raise ValueError("snapshot matrix rank is below signal_dim")
-    basis = replace(head, basis=np.linalg.qr(virtual.combine(head.basis))[0],
-                    eigenvalues=head.eigenvalues / count)
-    n_bar, n_rx, L = virtual.tx_count, virtual.rx_count, virtual.fast_time_bins
+    basis = replace(head, eigenvalues=head.eigenvalues / count)
+    _, L, n_rx = virtual.samples.shape
 
-    phi = np.empty((k, n_bar, L), dtype=complex)
-    for ki, (d, f) in enumerate(estimates):
-        temporal = temporal_signature(codes, d, f, system)
-        for m in range(n_bar):
-            phi[ki, m] = blockers.project(m, temporal)
+    temporal = np.stack([temporal_signature(codes, d, f, scenario.system)
+                         for d, f in estimates])
+    phi = np.stack([blockers.project(m, temporal) for m in range(virtual.tx_count)], axis=1)
     # ||P h||^2 = n_rx * sum_m ||phi_m||^2 (steering entries are unit modulus)
     numerators = n_rx * np.sum(np.abs(phi) ** 2, axis=(1, 2))
 
-    u4 = basis.basis.reshape(n_bar, n_rx, L, basis.signal_dim)
-    basis_phi = np.einsum("milp,kml->kpmi", u4.conj(), phi, optimize=True)
+    # phi vanishes off the union of the estimates' code windows
+    window = np.zeros(L, dtype=bool)
+    for d, _ in estimates:
+        window[_code_rows(d, codes.code_length, L)] = True
+    y_phi = np.einsum("nli,kml->nkmi", virtual.samples[:, window].conj(), phi[..., window],
+                      optimize=True)
+    basis_phi = (np.einsum("np,nkmi->kpmi", head.basis.conj(), y_phi, optimize=True)
+                 / np.sqrt(theta)[:, None, None])
     return Xi2Context(
         scenario=scenario,
         estimates=tuple((int(d), float(f)) for d, f in estimates),

@@ -13,18 +13,20 @@ blocker columns, P v = v - Q (Q^H v).  This keeps the per-vector cost at
 O(L * rank) and sidesteps the ill-conditioned normal-equations inverse
 when two targets nearly coincide in delay and Doppler.
 
-Nor is the snapshot matrix V (n_bar * n_rx * L rows, one column per PRI):
-VirtualSnapshots is a view of the cube and the blockers that answers the
-two questions a subspace split asks of V.  Its gram follows from P_m
-being a Hermitian idempotent,
+Nor is the snapshot matrix V (n_bar * n_rx * L rows, one column per
+PRI).  Stage 2 asks V two things: its gram, for the subspace split, and
+V^H P h, for the cost.  The gram comes from VirtualSnapshots, a view of
+the cube and the blockers; it follows from P_m being a Hermitian
+idempotent,
 
     V^H V = n_bar Y^H Y - sum_m Z_m^H Z_m,    Z_m = (I_rx kron Q_m^H) Y,
 
 with Y the (n_rx * L) x n_s PRI matrix, and every Z_m comes from one
 product of the cube's fast-time rows with the stacked bases [Q_0 ... ].
-A combination V c is P_m applied to the PRI combination Y c, block by
-block.  ``VirtualSnapshots.matrix`` still materialises V, as the
-reference for both.
+V^H P h needs no view at all: it is the sum over (m, i) of
+Y_i^H P_m h_mi, h_mi the (m, i) block of h, for the same reason (see
+prepare_xi2_context).  ``VirtualSnapshots.matrix`` still materialises
+V, as the reference for both.
 """
 
 from __future__ import annotations
@@ -85,26 +87,14 @@ class VirtualSnapshots:
     blockers: BlockerSet
 
     @property
-    def rx_count(self) -> int:
-        return self.samples.shape[2]
-
-    @property
     def tx_count(self) -> int:
         return self.blockers.tx_count
 
     @property
-    def fast_time_bins(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def snapshot_count(self) -> int:
-        return self.samples.shape[0]
-
-    @property
     def shape(self) -> tuple[int, int]:
-        """(ambient, count) of the snapshot matrix."""
-        return (self.tx_count * self.rx_count * self.fast_time_bins,
-                self.snapshot_count)
+        """(ambient, count) of the snapshot matrix: (n_bar * n_rx * L, n_s)."""
+        n_s, L, n_rx = self.samples.shape
+        return (self.tx_count * n_rx * L, n_s)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -135,18 +125,6 @@ class VirtualSnapshots:
         z = (rows @ stacked.conj()).reshape(n_s, -1)  # (n, (i, column))
         gram -= z.conj() @ z.T
         return gram
-
-    def combine(self, coeffs: np.ndarray) -> np.ndarray:
-        """V @ coeffs for (n_s, P) coefficients, (n_bar * n_rx * L, P)."""
-        n_s, L, n_rx = self.samples.shape
-        p_dim = coeffs.shape[1]
-        mixed = self.samples.reshape(n_s, L * n_rx).T @ coeffs  # ((t, i), p)
-        rows = mixed.reshape(L, n_rx * p_dim).T  # ((i, p), t)
-        out = np.empty((self.tx_count, n_rx, L, p_dim), dtype=complex)
-        for m in range(self.tx_count):
-            proj = self.blockers.project(m, rows).reshape(n_rx, p_dim, L)
-            out[m] = proj.transpose(0, 2, 1)
-        return out.reshape(-1, p_dim)
 
 
 def _orthonormal_basis(matrix: np.ndarray) -> np.ndarray:

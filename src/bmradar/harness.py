@@ -525,7 +525,8 @@ def emit_outputs(
     row per trial and method; it is written only when there are any.
 
     All CSV content is a pure function of the inputs; the timestamp lives
-    only in run.json.
+    only in run.json.  run.json is strict JSON: an infinite SNR point is
+    null, and any other non-finite value raises a ValueError.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -619,14 +620,15 @@ def emit_outputs(
             "seed": rmse.seed,
             "trials": rmse.trials,
             "methods": list(rmse.methods),
-            "snr_db": [p.snr_db for p in rmse.points],
+            # null for +inf, as scenario_to_dict writes levels
+            "snr_db": [None if math.isinf(p.snr_db) else p.snr_db for p in rmse.points],
             "drop_failures": rmse.drop_failures,
             "clutter_mode": rmse.clutter_mode,
         }
     if extra_config:
         doc["config"] = extra_config
     path = out / "run.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     written.append(path)
     return written
 

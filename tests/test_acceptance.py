@@ -281,7 +281,7 @@ class TestCriterion6PropertySuites:
         ctx = b.prepare_xi2_context(virt_n, blk_n,
                                     [(tn.delay_bins, tn.doppler_hz)],
                                     codes_n, tiny_noisy)
-        u = ctx.basis.basis
+        u = np.linalg.svd(virt_n.matrix, full_matrices=False)[0][:, :ctx.basis.signal_dim]
         p_nv = np.eye(u.shape[0]) - u @ u.conj().T
         p_blocks = [np.eye(14) - q @ q.conj().T for q in blk_n.bases]
         for th, tb in ((30.0, 140.0), (120.0, 60.0), (77.0, 12.0)):

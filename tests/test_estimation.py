@@ -212,7 +212,7 @@ class TestSubspaceSplit:
 
     @pytest.mark.parametrize("case", ["tiny", "paper_0db", "paper_clutter"])
     def test_stage2_basis_matches_the_snapshot_svd(self, case, paper_scenario):
-        # the stage-2 basis spans the top left singular vectors of the
+        # the stage-2 basis spans the top right singular vectors of the
         # materialised virtual-snapshot matrix, and its eigenvalues are
         # their squared singular values over the PRI count
         if case == "tiny":
@@ -226,16 +226,16 @@ class TestSubspaceSplit:
         estimates = [(t.delay_bins, t.doppler_hz) for t in cube.truth]
         blockers = b.build_blockers(codes, estimates, s.system)
         virtual = b.apply_virtual_extension(cube, blockers)
-        u_svd, sv, _ = np.linalg.svd(virtual.matrix, full_matrices=False)
+        _, sv, vh = np.linalg.svd(virtual.matrix, full_matrices=False)
         for dim in (1, 3, 12):
             ctx = b.prepare_xi2_context(virtual, blockers, estimates, codes, s,
                                         signal_dim=dim)
-            u = ctx.basis.basis
-            ref = u_svd[:, :dim]
-            # ||P_u - P_ref||_2 = ||u - ref ref^H u||_2 for equal ranks
-            assert np.linalg.norm(u - ref @ (ref.conj().T @ u), 2) < 1e-9
+            v = ctx.basis.basis
+            ref = vh[:dim].conj().T
+            # ||P_v - P_ref||_2 = ||v - ref ref^H v||_2 for equal ranks
+            assert np.linalg.norm(v - ref @ (ref.conj().T @ v), 2) < 1e-9
             assert np.allclose(ctx.basis.eigenvalues[:dim],
-                               sv[:dim] ** 2 / virtual.snapshot_count, rtol=1e-12)
+                               sv[:dim] ** 2 / virtual.shape[1], rtol=1e-12)
 
     def test_orthonormal_columns(self, paper_scenario):
         codes, symbols = build_waveform(paper_scenario)
@@ -801,7 +801,7 @@ class TestXi2:
         virtual = b.apply_virtual_extension(cube, blockers)
         ctx = b.prepare_xi2_context(virtual, blockers, estimates, codes, s)
 
-        u = ctx.basis.basis
+        u = np.linalg.svd(virtual.matrix, full_matrices=False)[0][:, :ctx.basis.signal_dim]
         p_nv = np.eye(u.shape[0]) - u @ u.conj().T
         n_bar, n_rx, L = 2, 2, 14
         p_blocks = []
@@ -875,21 +875,17 @@ class TestXi2HermitianForm:
 
 
 class MaterialisedSnapshots:
-    """The parent's reference route: the gram and combinations taken from
-    the materialised virtual-snapshot matrix."""
+    """The reference route: the gram taken from the materialised
+    virtual-snapshot matrix."""
 
     def __init__(self, virtual):
+        self.samples = virtual.samples
         self.matrix = virtual.matrix
         self.shape = self.matrix.shape
         self.tx_count = virtual.tx_count
-        self.rx_count = virtual.rx_count
-        self.fast_time_bins = virtual.fast_time_bins
 
     def gram(self):
         return self.matrix.conj().T @ self.matrix
-
-    def combine(self, coeffs):
-        return self.matrix @ coeffs
 
 
 class TestFactoredXi2Context:
@@ -910,7 +906,9 @@ class TestFactoredXi2Context:
             got = b.xi2_surface(ctx, theta, theta, contexts=range(len(estimates)))
             want = b.xi2_surface(ref, theta, theta, contexts=range(len(estimates)))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-            u = ctx.basis.basis
+            # the basis the contractions stand for, U = X V / sqrt(theta)
+            theta = ctx.basis.eigenvalues[:dim] * reference.shape[1]
+            u = reference.matrix @ ctx.basis.basis / np.sqrt(theta)
             assert u.shape == (reference.shape[0], dim)
             np.testing.assert_allclose(u.conj().T @ u, np.eye(dim), atol=1e-12)
         return blockers
@@ -979,6 +977,81 @@ class TestFactoredXi2Context:
             tracemalloc.stop()
         # the materialised matrix alone is 13100 x 256 complex, 54 MB
         assert peak < 32e6
+
+    def test_zero_signal_dim_is_rejected(self, tiny_scenario):
+        # an explicit 0 is out of range, not a request for the default K
+        cube, codes, _, _ = clean_cube(tiny_scenario)
+        estimates = [(t.delay_bins, t.doppler_hz) for t in cube.truth]
+        blockers = b.build_blockers(codes, estimates, tiny_scenario.system)
+        with pytest.raises(ValueError, match=r"signal_dim must be in \(0, 56\)"):
+            b.prepare_xi2_context(b.apply_virtual_extension(cube, blockers), blockers,
+                                  estimates, codes, tiny_scenario, signal_dim=0)
+
+
+def _xi2_case(case, paper_scenario):
+    """(scenario, cube, codes, estimates) of the paper scenario, of a
+    near-coincident estimate pair on it, or of a one-antenna Tx array."""
+    s = paper_scenario
+    if case == "tx_count_1":
+        s = make_tiny_scenario(snr_db=20.0, scr_db=float("inf"))
+        s = replace(s, system=replace(s.system, tx_count=1),
+                    tx_array=b.ArrayGeometry(((0.0,), (0.0,), (0.0,))))
+    codes, symbols = build_waveform(s)
+    cube = b.synthesize_cube(s, codes, symbols, np.random.default_rng(28))
+    estimates = [(t.delay_bins, t.doppler_hz) for t in cube.truth]
+    if case == "near_coincident":
+        d, f = estimates[0]
+        estimates = [(d, f), (d, f + 1e-7)]
+    return s, cube, codes, estimates
+
+
+class TestXi2ContextFacts:
+    """The two facts prepare_xi2_context rests on: Rayleigh-Ritz vectors
+    diagonalise the PRI gram, and U^H P h needs only the code-window rows
+    of the cube."""
+
+    @pytest.mark.parametrize("case", ["paper", "near_coincident", "tx_count_1"])
+    def test_contractions_equal_the_full_length_product(self, case, paper_scenario):
+        s, cube, codes, estimates = _xi2_case(case, paper_scenario)
+        blockers = b.build_blockers(codes, estimates, s.system)
+        virtual = b.apply_virtual_extension(cube, blockers)
+        ctx = b.prepare_xi2_context(virtual, blockers, estimates, codes, s)
+        n_s, L, n_rx = cube.samples.shape
+        n_bar = s.system.tx_count
+        # phi over all L fast-time rows, through explicit projectors
+        phi = np.array([[(np.eye(L) - q @ q.conj().T)
+                         @ b.temporal_signature(codes, d, f, s.system)
+                         for q in blockers.bases] for d, f in estimates])
+        x4 = virtual.matrix.reshape(n_bar, n_rx, L, n_s)
+        x_phi = np.einsum("miln,kml->nkmi", x4.conj(), phi)
+        dim = ctx.basis.signal_dim
+        theta = ctx.basis.eigenvalues[:dim] * n_s
+        want = (np.einsum("np,nkmi->kpmi", ctx.basis.basis.conj(), x_phi)
+                / np.sqrt(theta)[:, None, None])
+        assert ctx.basis_phi.shape == want.shape
+        assert np.abs(ctx.basis_phi - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("cap", [None, 1])
+    def test_ritz_vectors_diagonalise_the_pri_gram(self, cap, paper_scenario, monkeypatch):
+        # the criterion-5 0 dB point, where the stage-2 solve restarts most;
+        # the property holds also for a solve stopped at the restart cap
+        if cap is not None:
+            monkeypatch.setattr(est, "_KRYLOV_MAX_RESTARTS", cap)
+        s = paper_scenario.with_system(snr_db=0.0, scr_db=float("inf"))
+        codes, symbols = build_waveform(s)
+        cube = b.synthesize_cube(s, codes, symbols, np.random.default_rng(0))
+        estimates = [(t.delay_bins, t.doppler_hz) for t in cube.truth]
+        blockers = b.build_blockers(codes, estimates, s.system)
+        virtual = b.apply_virtual_extension(cube, blockers)
+        ctx = b.prepare_xi2_context(virtual, blockers, estimates, codes, s)
+        if cap is None:
+            assert ctx.basis.converged and ctx.basis.restarts > 1
+        else:
+            assert not ctx.basis.converged and ctx.basis.restarts == cap
+        v = ctx.basis.basis
+        theta = ctx.basis.eigenvalues[:ctx.basis.signal_dim] * virtual.shape[1]
+        off = v.conj().T @ virtual.gram() @ v - np.diag(theta)
+        assert np.linalg.norm(off, 2) <= 1e-12 * theta[0]
 
 
 class TestDoaDodSearch:

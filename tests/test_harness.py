@@ -896,6 +896,20 @@ class TestCli:
             outs.append((out / "rmse.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_mc_run_json_is_strict_json(self, tmp_path):
+        scen = self._write_tiny(tmp_path)
+        out = tmp_path / "out"
+        rc = cli_main(["mc", "--scenario", str(scen), "--snr", "20,inf", "--trials", "1",
+                       "--out", str(out), "--method", "vst"])
+        assert rc == 0
+
+        def reject(name):
+            raise ValueError(f"run.json holds {name}")
+
+        doc = json.loads((out / "run.json").read_text(), parse_constant=reject)
+        assert doc["monte_carlo"]["snr_db"] == [20.0, None]
+        assert doc["config"] == {"jobs": 1}
+
     @pytest.mark.parametrize("flag", [["--known-k", "2"], ["--estimate-k"]])
     def test_mc_rejects_target_count_flags(self, tmp_path, capsys, flag):
         scen = self._write_tiny(tmp_path)
